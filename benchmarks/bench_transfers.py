@@ -1,4 +1,9 @@
-"""Micro-benchmarks of the network transfer engine under contention."""
+"""Micro-benchmarks of the network transfer engine under contention.
+
+Publishes ``BENCH_transfers.json`` (mean and best round per scenario, and
+transfers per second of mean wall time); the nightly gate compares a
+fresh run against it.
+"""
 
 from repro.network import MaxMinFairAllocator, Topology, TransferManager
 from repro.sim import Simulator
@@ -9,16 +14,20 @@ _METRICS = {}
 
 
 def _record(name, benchmark, transfers):
-    """Fold one scenario's timing into benchmarks/results/transfers.json."""
+    """Fold one scenario's timing into the transfers record."""
     stats = benchmark_stats(benchmark)
     if not stats:
         return
     _METRICS[f"{name}_mean_s"] = stats["mean_s"]
+    _METRICS[f"{name}_min_s"] = stats["min_s"]
     _METRICS[f"{name}_transfers_per_s"] = transfers / stats["mean_s"]
     publish_json(
         "transfers", _METRICS,
+        meta={"units": "transfers_per_s = completed transfers per second "
+                       "of mean wall-clock"},
         higher_is_better=[k for k in _METRICS
-                          if k.endswith("_transfers_per_s")])
+                          if k.endswith("_transfers_per_s")],
+        top_level="BENCH_transfers.json")
 
 
 def _churn(allocator=None, n=300):

@@ -13,8 +13,8 @@ that model:
 * :mod:`~repro.network.routing` — shortest-path route computation + cache.
 * :mod:`~repro.network.transfer` — the :class:`TransferManager`, which runs
   all wide-area transfers under a rate allocator (the paper's equal-share
-  bottleneck model, or optionally true max–min fairness) and recomputes
-  rates whenever any transfer starts or finishes.
+  bottleneck model, or optionally true max–min fairness) and re-rates
+  the transfers sharing a link with any transfer that starts or finishes.
 """
 
 from repro.network.forecast import (

@@ -23,6 +23,12 @@ class Link:
     * ``busy_time`` — integral of "link has ≥1 active transfer" over time.
     * ``load_integral`` — integral of active-transfer count over time
       (average concurrency = load_integral / horizon).
+
+    ``active_weight`` is the running sum of the share weights of the
+    transfers in ``active``.  The transfer manager keeps it as it attaches
+    and detaches transfers, and resets it to 0.0 when the link empties, so
+    the equal-share rate of any one transfer can be read off its route
+    without recounting every link.
     """
 
     __slots__ = (
@@ -31,6 +37,7 @@ class Link:
         "capacity_mbps",
         "base_capacity_mbps",
         "active",
+        "active_weight",
         "bytes_carried",
         "busy_time",
         "load_integral",
@@ -49,6 +56,7 @@ class Link:
         #: ``capacity_mbps`` only; timeouts and restores use this.
         self.base_capacity_mbps = float(capacity_mbps)
         self.active: Set["Transfer"] = set()
+        self.active_weight = 0.0
         self.bytes_carried = 0.0
         self.busy_time = 0.0
         self.load_integral = 0.0

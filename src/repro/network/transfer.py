@@ -3,8 +3,8 @@
 The :class:`TransferManager` executes every data movement in the grid (job
 input fetches *and* asynchronous replications — both compete for the same
 links, which is essential to the paper's comparison).  Whenever a transfer
-starts or finishes, rates are recomputed for all transfers sharing links
-with it.
+starts or finishes, rates are recomputed for the transfers sharing a link
+with it; every other rate is unchanged by that event.
 
 Two rate allocators are provided:
 
@@ -18,7 +18,7 @@ Two rate allocators are provided:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Collection, Dict, List, Optional, Set
 
 from repro.network.link import Link
 from repro.network.routing import Router
@@ -30,6 +30,8 @@ from repro.sim.events import Event
 _EPSILON_MB = 1e-9
 #: Guard against zero-length reschedule loops from float rounding.
 _MIN_DT = 1e-9
+#: Start of the running minimum in the rate and next-completion loops.
+_INF = float("inf")
 
 
 class Transfer:
@@ -104,20 +106,29 @@ class EqualShareAllocator:
     Weighted transfers (GridFTP-style parallel streams) count as
     ``weight`` unit flows: a link carrying weights {1, 3} gives them 25%
     and 75% of its capacity.
+
+    A link's share is read from its running :attr:`Link.active_weight`,
+    so ``transfers`` may be any subset of the attached transfers: a rate
+    depends only on the links its transfer crosses (:attr:`local`).
     """
 
     name = "equal-share"
+    #: Rates depend only on the loads of the links each transfer crosses,
+    #: so the manager re-rates just the transfers on links whose load
+    #: changed.
+    local = True
 
-    def allocate(self, transfers: Sequence[Transfer]) -> Dict[Transfer, float]:
+    def allocate(self, transfers: Collection[Transfer]
+                 ) -> Dict[Transfer, float]:
         rates: Dict[Transfer, float] = {}
-        total_weight: Dict[Link, float] = {}
         for t in transfers:
+            weight = t.weight
+            rate = _INF
             for link in t.route:
-                total_weight[link] = total_weight.get(link, 0.0) + t.weight
-        for t in transfers:
-            rates[t] = min(
-                link.capacity_mbps * t.weight / total_weight[link]
-                for link in t.route)
+                share = link.capacity_mbps * weight / link.active_weight
+                if share < rate:
+                    rate = share
+            rates[t] = rate
         return rates
 
 
@@ -130,8 +141,12 @@ class MaxMinFairAllocator:
     """
 
     name = "max-min"
+    #: Freezing one bottleneck frees capacity elsewhere, so any start or
+    #: finish can move every rate: the manager always passes them all.
+    local = False
 
-    def allocate(self, transfers: Sequence[Transfer]) -> Dict[Transfer, float]:
+    def allocate(self, transfers: Collection[Transfer]
+                 ) -> Dict[Transfer, float]:
         rates: Dict[Transfer, float] = {t: 0.0 for t in transfers}
         if not transfers:
             return rates
@@ -178,7 +193,10 @@ class TransferManager:
     topology:
         The network; routes are shortest paths over it.
     allocator:
-        Rate allocator (defaults to the paper's equal-share model).
+        Rate allocator (defaults to the paper's equal-share model): an
+        ``allocate(transfers)`` method returning a rate per transfer, and
+        a ``local`` flag saying whether it may be passed only the
+        transfers on links whose load changed.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
@@ -189,6 +207,9 @@ class TransferManager:
         self.allocator = allocator or EqualShareAllocator()
         self.active: List[Transfer] = []
         self.completed: List[Transfer] = []
+        #: Links whose load changed since the last rebalance: only the
+        #: transfers crossing them need new rates.
+        self._dirty: Set[Link] = set()
         self._timer_token = 0
         #: Called with each transfer the moment it completes (used by the
         #: NWS-style bandwidth forecaster, tracing, ...).  Aborted
@@ -238,8 +259,11 @@ class TransferManager:
                 self._trace_transfer("transfer.done", transfer, duration_s=0.0)
             transfer.done.succeed(transfer)
             return transfer
+        now = self.sim.now
         for link in route:
-            link.attach(transfer, self.sim.now)
+            link.attach(transfer, now)
+            link.active_weight += transfer.weight
+        self._dirty.update(route)
         self.active.append(transfer)
         for hook in self.on_start:
             hook(transfer)
@@ -256,15 +280,20 @@ class TransferManager:
         """
         if transfer.finished_at is not None or transfer not in self.active:
             return False
-        self._advance_progress()
+        # Fold the victim's progress up to now; the others fold in the
+        # rebalance below, at the same instant and the same rates.
         now = self.sim.now
+        dt = now - transfer._last_update
+        if dt > 0:
+            left = transfer.remaining_mb - transfer.rate * dt
+            transfer.remaining_mb = left if left > 0.0 else 0.0
+        transfer._last_update = now
         transfer.finished_at = now
         transfer.failed = True
         if reason:
             transfer.metadata.setdefault("abort_reason", reason)
         carried = transfer.size_mb - transfer.remaining_mb
-        for link in transfer.route:
-            link.detach(transfer, now, carried)
+        self._detach(transfer, now, carried)
         self.active.remove(transfer)
         self.n_aborted += 1
         if self.tracer is not None:
@@ -278,8 +307,8 @@ class TransferManager:
         return True
 
     def rebalance(self) -> None:
-        """Recompute rates now (e.g. after a link capacity change)."""
-        self._rebalance()
+        """Recompute every rate now (e.g. after a link capacity change)."""
+        self._rebalance(rerate_all=True)
 
     def estimated_transfer_time(self, src: str, dst: str,
                                 size_mb: float) -> float:
@@ -307,27 +336,69 @@ class TransferManager:
 
     # -- internals -----------------------------------------------------------
 
-    def _advance_progress(self) -> None:
-        """Fold elapsed time into each active transfer's remaining bytes."""
+    def _detach(self, transfer: Transfer, now: float,
+                carried_mb: float) -> None:
+        """Take ``transfer`` off its route and mark those links dirty."""
+        weight = transfer.weight
+        for link in transfer.route:
+            link.detach(transfer, now, carried_mb)
+            # An emptied link restarts its sum at exactly 0.0, so rounding
+            # from fractional weights never outlives a busy period.
+            link.active_weight = (link.active_weight - weight
+                                  if link.active else 0.0)
+        self._dirty.update(transfer.route)
+
+    def _rebalance(self, rerate_all: bool = False) -> None:
+        """Fold progress, retire finished transfers, re-rate, re-arm.
+
+        The fold runs over every active transfer at every rebalance, even
+        those whose rate is unchanged, so each ``remaining_mb`` follows the
+        same float chain as recomputing every rate would.  Only transfers
+        on dirty links get new rates, unless ``rerate_all`` is set or the
+        allocator's rates are not :attr:`~EqualShareAllocator.local`.
+        """
         now = self.sim.now
-        for t in self.active:
+        active = self.active
+        finished = False
+        for t in active:
             dt = now - t._last_update
             if dt > 0:
-                t.remaining_mb = max(0.0, t.remaining_mb - t.rate * dt)
+                left = t.remaining_mb - t.rate * dt
+                t.remaining_mb = left if left > 0.0 else 0.0
             t._last_update = now
-
-    def _rebalance(self) -> None:
-        """Recompute all rates and re-arm the next-completion timer."""
-        self._advance_progress()
-        self._complete_finished()
-        if not self.active:
+            if t.remaining_mb > _EPSILON_MB:
+                continue
+            finished = True
+            t.remaining_mb = 0.0
+            t.finished_at = now
+            self._detach(t, now, t.size_mb)
+            self.completed.append(t)
+            for observer in self.observers:
+                observer(t)
+            if self.tracer is not None:
+                self._trace_transfer("transfer.done", t,
+                                     duration_s=t.duration)
+            t.done.succeed(t)
+        if finished:
+            active = self.active = [t for t in active if t.finished_at is None]
+        dirty = self._dirty
+        if rerate_all or not self.allocator.local:
+            rerate: Collection[Transfer] = active
+        else:
+            rerate = set().union(*[link.active for link in dirty])
+        dirty.clear()
+        if not active:
             return
-        rates = self.allocator.allocate(self.active)
-        for t in self.active:
+        rates = self.allocator.allocate(rerate)
+        for t in rerate:
             t.rate = rates[t]
             if t.rate <= 0:  # pragma: no cover - allocators always give > 0
                 raise RuntimeError(f"allocator assigned zero rate to {t!r}")
-        next_dt = min(t.remaining_mb / t.rate for t in self.active)
+        next_dt = _INF
+        for t in active:
+            dt = t.remaining_mb / t.rate
+            if dt < next_dt:
+                next_dt = dt
         next_dt = max(next_dt, _MIN_DT)
         self._timer_token += 1
         token = self._timer_token
@@ -338,26 +409,6 @@ class TransferManager:
         if token != self._timer_token:
             return  # superseded by a later rebalance
         self._rebalance()
-
-    def _complete_finished(self) -> None:
-        now = self.sim.now
-        still_active: List[Transfer] = []
-        for t in self.active:
-            if t.remaining_mb <= _EPSILON_MB:
-                t.remaining_mb = 0.0
-                t.finished_at = now
-                for link in t.route:
-                    link.detach(t, now, t.size_mb)
-                self.completed.append(t)
-                for observer in self.observers:
-                    observer(t)
-                if self.tracer is not None:
-                    self._trace_transfer("transfer.done", t,
-                                         duration_s=t.duration)
-                t.done.succeed(t)
-            else:
-                still_active.append(t)
-        self.active = still_active
 
     def _trace_transfer(self, kind: str, transfer: Transfer,
                         **extra: Any) -> None:

@@ -41,9 +41,10 @@ Invariants checked:
 * **no-starvation** — with a queue deadline set, no job still waits in a
   queue beyond its deadline (the expiry machinery must have fired).
 * **no-double-completion** — with the health layer's speculation armed,
-  no primary/backup pair has both attempts DONE: the transition hook
-  must have preempted the loser into SPECULATED, and every loser's
-  logical job has exactly one DONE attempt.
+  the attempts of one logical job (the primary and every backup cloned
+  from it) hold at most one DONE: the transition hook must have
+  preempted each loser into SPECULATED.  A family whose attempts are
+  all SPECULATED lost the logical job on every side.
 * **breaker-state-sane** — the health layer's site breakers and the
   information service agree: every open/half-open breaker's site is
   hidden (suspected) and every closed breaker's site is advertised.
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.grid.job import JobState
+from repro.grid.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.grid import DataGrid
@@ -365,27 +366,35 @@ class Watchdog:
         health = self.grid.health
         if health is None:
             return
-        engine = self.grid.lifecycle
+        # One family per logical job: the primary and every backup cloned
+        # from it.  A family may hold several SPECULATED attempts (a
+        # backup that conceded, then the primary beaten by a second
+        # backup), so only the family as a whole can be judged.
+        families: Dict[int, List[Job]] = {}
         for job in self.grid.submitted_jobs:
-            if job.speculative_of is None:
-                continue
-            primary = engine.jobs.get(job.speculative_of)
+            if job.speculative_of is not None:
+                families.setdefault(job.speculative_of, []).append(job)
+        engine = self.grid.lifecycle
+        for logical, backups in families.items():
+            primary = engine.jobs.get(logical)
             if primary is None:
                 continue
-            if (job.state is JobState.DONE
-                    and primary.state is JobState.DONE):
+            attempts = [primary, *backups]
+            ids = [job.job_id for job in attempts]
+            done = [job.job_id for job in attempts
+                    if job.state is JobState.DONE]
+            if len(done) > 1:
                 self._fail(
                     "no-double-completion",
-                    f"speculation pair ({primary.job_id}, {job.job_id}) "
-                    "has both attempts DONE",
-                    primary=primary.job_id, clone=job.job_id)
-            if (job.state is JobState.SPECULATED
-                    and primary.state is JobState.SPECULATED):
+                    f"logical job {logical} has {len(done)} attempts DONE "
+                    f"({done})",
+                    logical_job=logical, attempts=ids, done=done)
+            if all(job.state is JobState.SPECULATED for job in attempts):
                 self._fail(
                     "no-double-completion",
-                    f"speculation pair ({primary.job_id}, {job.job_id}) "
-                    "lost on both sides — nobody completed the logical job",
-                    primary=primary.job_id, clone=job.job_id)
+                    f"logical job {logical} lost every attempt ({ids}) — "
+                    "nobody completed it",
+                    logical_job=logical, attempts=ids)
 
     def _check_breaker_state(self) -> None:
         health = self.grid.health

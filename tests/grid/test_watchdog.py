@@ -10,6 +10,8 @@ import types
 import pytest
 
 from repro import SimulationConfig, build_grid, make_workload
+from repro.grid.job import JobState
+from repro.sim import Simulator
 from repro.sim.trace import Tracer
 from repro.watchdog import InvariantViolation, Watchdog, attach
 
@@ -144,6 +146,60 @@ class TestSeededCorruptions:
         view = grid.info.replica_view
         view._locations.setdefault("dataset0000", set()).add("ghost-site")
         self.expect_violation(grid, "stale-view-bounded")
+
+
+def _attempt(job_id, state, of=None):
+    return types.SimpleNamespace(job_id=job_id, state=state,
+                                 speculative_of=of)
+
+
+def _family_watchdog(*attempts):
+    """A watchdog over a stub grid holding speculation attempts only."""
+    grid = types.SimpleNamespace(
+        health=object(), tracer=None, submitted_jobs=list(attempts),
+        lifecycle=types.SimpleNamespace(
+            jobs={job.job_id: job for job in attempts}))
+    return Watchdog(Simulator(), grid)
+
+
+class TestSpeculationFamilies:
+    """no-double-completion judges a logical job's attempts together."""
+
+    def test_conceded_then_won_family_passes(self):
+        # The first backup conceded, a second backup then beat the
+        # primary: two SPECULATED attempts, one DONE.
+        dog = _family_watchdog(
+            _attempt(0, JobState.SPECULATED),
+            _attempt(100, JobState.SPECULATED, of=0),
+            _attempt(101, JobState.DONE, of=0))
+        dog._check_double_completion()
+
+    def test_two_done_attempts_fail(self):
+        dog = _family_watchdog(
+            _attempt(7, JobState.SPECULATED),
+            _attempt(100, JobState.DONE, of=7),
+            _attempt(101, JobState.DONE, of=7))
+        with pytest.raises(InvariantViolation) as err:
+            dog._check_double_completion()
+        assert err.value.invariant == "no-double-completion"
+        assert err.value.details["done"] == [100, 101]
+
+    def test_every_attempt_lost_fails(self):
+        dog = _family_watchdog(
+            _attempt(0, JobState.SPECULATED),
+            _attempt(100, JobState.SPECULATED, of=0),
+            _attempt(101, JobState.SPECULATED, of=0))
+        with pytest.raises(InvariantViolation) as err:
+            dog._check_double_completion()
+        assert err.value.invariant == "no-double-completion"
+        assert err.value.details["attempts"] == [0, 100, 101]
+
+    def test_live_attempt_keeps_family_open(self):
+        dog = _family_watchdog(
+            _attempt(7, JobState.SPECULATED),
+            _attempt(100, JobState.SPECULATED, of=7),
+            _attempt(101, JobState.RUNNING, of=7))
+        dog._check_double_completion()
 
 
 class TestViolationReporting:
