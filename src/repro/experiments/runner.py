@@ -104,7 +104,7 @@ def build_grid(
 ) -> Tuple[Simulator, DataGrid]:
     """Wire a ready-to-run grid for one algorithm combination.
 
-    The workload must be fresh (jobs in CREATED state); pass
+    The workload must be fresh (jobs in WAITING state); pass
     ``workload.fresh()`` when reusing one across runs.  ``tracer`` (a
     :class:`repro.sim.trace.Tracer`) turns on domain-event tracing;
     emissions never draw randomness, so a traced run is bitwise-identical

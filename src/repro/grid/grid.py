@@ -695,9 +695,9 @@ class DataGrid:
 
     @property
     def completed_jobs(self) -> List[Job]:
-        """All jobs that reached COMPLETED."""
+        """All jobs that reached DONE."""
         return [j for j in self.submitted_jobs
-                if j.state is JobState.COMPLETED]
+                if j.state is JobState.DONE]
 
     @property
     def failed_jobs(self) -> List[Job]:

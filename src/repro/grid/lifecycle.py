@@ -70,10 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class JobState(enum.Enum):
     """Lifecycle states.
 
-    The first ten members are the canonical state set; the trailing names
-    are aliases kept for the pre-engine vocabulary (``CREATED`` /
-    ``SUBMITTED`` / ``QUEUED`` / ``COMPLETED``) so existing call sites and
-    tests keep working — aliases are identical objects, not copies.
+    Each member carries a fixed ``index`` (its declaration position, set
+    once at class creation) so the engine's tables are plain lists indexed
+    by state: ``Enum.__hash__`` is a pure-Python call, too slow for a
+    lookup on every transition and every watchdog audit.
     """
 
     WAITING = "waiting"        #: generated; parents (if any) not done yet
@@ -90,11 +90,8 @@ class JobState(enum.Enum):
     #: Every replica of an input dataset is gone (terminal).
     ABANDONED_DATA_LOST = "abandoned_data_lost"
 
-    # -- legacy aliases (same members, old names) --------------------------
-    CREATED = "waiting"
-    SUBMITTED = "ready"
-    QUEUED = "fetching"
-    COMPLETED = "done"
+    def __init__(self, value: str) -> None:
+        self.index = len(type(self).__members__)
 
 
 #: Every legal edge, ``(src, dst) -> edge name``.  The engine refuses
@@ -146,17 +143,25 @@ TERMINAL_STATES: Tuple[JobState, ...] = tuple(
     state for state in JobState
     if not any(src is state for src, _ in TRANSITIONS))
 
-#: Timestamp field stamped on *entering* a state (READY is special-cased:
-#: ``submitted_at`` is only stamped on first submission, not on retry).
-_ENTRY_TIMESTAMP = {
-    JobState.DISPATCHED: "dispatched_at",
-    JobState.FETCHING: "queued_at",
-    JobState.RUNNING: "started_at",
-    JobState.DONE: "completed_at",
-}
+#: ``_EDGES[src.index][dst.index]`` is the edge name, or ``None`` where
+#: :data:`TRANSITIONS` declares no edge (derived, never edited by hand).
+_EDGES: List[List[Optional[str]]] = [
+    [TRANSITIONS.get((src, dst)) for dst in JobState] for src in JobState]
 
-_FAILURE_STATES = (JobState.FAILED, JobState.SHED, JobState.EXPIRED,
-                   JobState.SPECULATED, JobState.ABANDONED_DATA_LOST)
+#: Timestamp field stamped on *entering* a state, by ``state.index``
+#: (READY is special-cased: ``submitted_at`` is only stamped on first
+#: submission, not on retry).
+_ENTRY_TIMESTAMP: List[Optional[str]] = [None] * len(JobState)
+_ENTRY_TIMESTAMP[JobState.DISPATCHED.index] = "dispatched_at"
+_ENTRY_TIMESTAMP[JobState.FETCHING.index] = "queued_at"
+_ENTRY_TIMESTAMP[JobState.RUNNING.index] = "started_at"
+_ENTRY_TIMESTAMP[JobState.DONE.index] = "completed_at"
+
+#: Whether entering a state records a failure, by ``state.index``: every
+#: terminal state except DONE.
+_IS_FAILURE: List[bool] = [
+    state in TERMINAL_STATES and state is not JobState.DONE
+    for state in JobState]
 
 #: Tolerance for float time comparisons in guards (matches the watchdog).
 _EPSILON = 1e-6
@@ -199,7 +204,8 @@ def apply_transition(job: "Job", dst: JobState, now: float,
     guards, hooks, and trace emission on top.  Returns the edge name.
     """
     src = job.state
-    edge = TRANSITIONS.get((src, dst))
+    index = dst.index
+    edge = _EDGES[src.index][index]
     if edge is None:
         raise IllegalTransition(job.job_id, src, dst, now)
     if dst is JobState.READY:
@@ -219,12 +225,12 @@ def apply_transition(job: "Job", dst: JobState, now: float,
         elif src is JobState.WAITING:
             job.submitted_at = now
         # READY -> READY re-placement carries no field effects.
-    elif dst in _FAILURE_STATES:
+    elif _IS_FAILURE[index]:
         job.completed_at = None
         if reason is not None:
             job.failure_reason = reason
     else:
-        attr = _ENTRY_TIMESTAMP.get(dst)
+        attr = _ENTRY_TIMESTAMP[index]
         if attr is not None:
             setattr(job, attr, now)
         if dst is JobState.RETRYING and reason is not None:
@@ -241,9 +247,10 @@ class TransitionEngine:
     """The single authority for job state changes in one grid.
 
     Keeps O(1) per-state bookkeeping (``counts`` and ``by_state`` id-sets
-    over every registered job), applies each edge atomically with its
-    field effects, runs the built-in guards, invokes registered hooks, and
-    emits the edge's domain-trace record when a tracer is attached.
+    over every registered job, both lists indexed by ``state.index``),
+    applies each edge atomically with its field effects, runs the built-in
+    guards, invokes registered hooks, and emits the edge's domain-trace
+    record when a tracer is attached.
 
     Jobs are registered lazily on their first transition (so standalone
     sites and unit tests need no ceremony) or eagerly via :meth:`register`
@@ -255,10 +262,8 @@ class TransitionEngine:
                  tracer: Optional["Tracer"] = None) -> None:
         self.sim = sim
         self.tracer = tracer
-        self.counts: Dict[JobState, int] = {
-            state: 0 for state in JobState}
-        self.by_state: Dict[JobState, Set[int]] = {
-            state: set() for state in JobState}
+        self.counts: List[int] = [0] * len(JobState)
+        self.by_state: List[Set[int]] = [set() for _ in JobState]
         self.jobs: Dict[int, "Job"] = {}
         #: Transitions applied over the engine's lifetime.
         self.transitions_applied = 0
@@ -287,15 +292,17 @@ class TransitionEngine:
         if prev is job:
             return
         if prev is not None:
-            self.counts[prev.state] -= 1
-            self.by_state[prev.state].discard(jid)
+            index = prev.state.index
+            self.counts[index] -= 1
+            self.by_state[index].discard(jid)
         self.jobs[jid] = job
-        self.counts[job.state] += 1
-        self.by_state[job.state].add(jid)
+        index = job.state.index
+        self.counts[index] += 1
+        self.by_state[index].add(jid)
 
     def jobs_in(self, state: JobState) -> List["Job"]:
         """The registered jobs currently in ``state`` (sorted by id)."""
-        return [self.jobs[jid] for jid in sorted(self.by_state[state])]
+        return [self.jobs[jid] for jid in sorted(self.by_state[state.index])]
 
     # -- the core edge -----------------------------------------------------
 
@@ -313,11 +320,13 @@ class TransitionEngine:
             self.register(job)
         edge = apply_transition(job, dst, now, reason)
         if src is not dst:
-            self.counts[src] -= 1
-            self.by_state[src].discard(jid)
-            self.counts[dst] += 1
-            self.by_state[dst].add(jid)
-            if self.counts[src] < 0:
+            s = src.index
+            d = dst.index
+            self.counts[s] -= 1
+            self.by_state[s].discard(jid)
+            self.counts[d] += 1
+            self.by_state[d].add(jid)
+            if self.counts[s] < 0:
                 raise LifecycleGuardError(
                     f"jobs-conserved: count for {src.value!r} went "
                     f"negative on job {jid} ({src.value} -> {dst.value})")
@@ -350,19 +359,21 @@ class TransitionEngine:
         calls this periodically so a drifted counter is caught mid-run.
         """
         problems: List[str] = []
-        recount: Dict[JobState, int] = {state: 0 for state in JobState}
+        by_state = self.by_state
+        recount = [0] * len(JobState)
         for jid, job in self.jobs.items():
-            recount[job.state] += 1
-            if jid not in self.by_state[job.state]:
+            index = job.state.index
+            recount[index] += 1
+            if jid not in by_state[index]:
                 problems.append(
                     f"job {jid} is {job.state.value} but missing from "
                     "its state set")
-        for state in JobState:
-            if recount[state] != self.counts[state]:
+        for state, count, found in zip(JobState, self.counts, recount):
+            if found != count:
                 problems.append(
-                    f"count for {state.value!r} is {self.counts[state]}, "
-                    f"recount says {recount[state]}")
-        total = sum(self.counts.values())
+                    f"count for {state.value!r} is {count}, "
+                    f"recount says {found}")
+        total = sum(self.counts)
         if total != len(self.jobs):
             problems.append(
                 f"state counts sum to {total} but {len(self.jobs)} jobs "

@@ -201,9 +201,9 @@ class Watchdog:
         # The engine's O(1) per-state counts replace the old full scan of
         # submitted jobs; RETRYING (killed, not yet rewound) is its own
         # state, so no ``killed`` flag bookkeeping is needed.
-        expected_in_system = (engine.counts[JobState.FETCHING]
-                              + engine.counts[JobState.RUNNING])
-        completed = engine.counts[JobState.DONE]
+        expected_in_system = (engine.counts[JobState.FETCHING.index]
+                              + engine.counts[JobState.RUNNING.index])
+        completed = engine.counts[JobState.DONE.index]
         problems = engine.audit()
         if problems:
             self._fail("jobs-conserved",
@@ -344,8 +344,7 @@ class Watchdog:
         # per-state id-set instead of every job ever submitted.  (The
         # engine additionally enforces this invariant on every ``start``
         # edge via its deadline guard.)
-        for job_id in sorted(engine.by_state[JobState.FETCHING]):
-            job = engine.jobs[job_id]
+        for job in engine.jobs_in(JobState.FETCHING):
             deadline = (job.deadline_s if job.deadline_s is not None
                         else policy.job_deadline_s)
             if deadline <= 0:

@@ -108,7 +108,7 @@ class TestSubmit:
         p = grid.submit(job)
         sim.run(until=p)
         assert job.execution_site == "site02"  # JobLocal
-        assert job.state is JobState.COMPLETED
+        assert job.state is JobState.DONE
         assert grid.submitted_jobs == [job]
         assert grid.completed_jobs == [job]
 

@@ -27,15 +27,15 @@ class TestValidation:
 
 class TestLifecycle:
     def test_initial_state(self):
-        assert make_job().state is JobState.CREATED
+        assert make_job().state is JobState.WAITING
 
     def test_advance_sets_timestamps(self):
         job = make_job()
-        job.advance(JobState.SUBMITTED, 10.0)
+        job.advance(JobState.READY, 10.0)
         job.advance(JobState.DISPATCHED, 11.0)
-        job.advance(JobState.QUEUED, 12.0)
+        job.advance(JobState.FETCHING, 12.0)
         job.advance(JobState.RUNNING, 20.0)
-        job.advance(JobState.COMPLETED, 320.0)
+        job.advance(JobState.DONE, 320.0)
         assert job.submitted_at == 10.0
         assert job.dispatched_at == 11.0
         assert job.queued_at == 12.0
@@ -44,34 +44,34 @@ class TestLifecycle:
 
     def test_backwards_transition_rejected(self):
         job = make_job()
-        job.advance(JobState.SUBMITTED, 0.0)
+        job.advance(JobState.READY, 0.0)
         job.advance(JobState.DISPATCHED, 0.5)
-        job.advance(JobState.QUEUED, 1.0)
+        job.advance(JobState.FETCHING, 1.0)
         with pytest.raises(ValueError):
-            job.advance(JobState.SUBMITTED, 2.0)
+            job.advance(JobState.READY, 2.0)
 
     def test_skipping_states_rejected(self):
         # The transition table declares every legal edge; skipping ahead
-        # (CREATED -> RUNNING) is not one of them.
+        # (WAITING -> RUNNING) is not one of them.
         job = make_job()
         with pytest.raises(IllegalTransition) as excinfo:
             job.advance(JobState.RUNNING, 5.0)
         assert excinfo.value.job_id == job.job_id
-        assert excinfo.value.src is JobState.CREATED
+        assert excinfo.value.src is JobState.WAITING
         assert excinfo.value.dst is JobState.RUNNING
-        assert job.state is JobState.CREATED
+        assert job.state is JobState.WAITING
 
 
 class TestDerivedMetrics:
     def _completed_job(self):
         job = make_job()
-        job.advance(JobState.SUBMITTED, 0.0)
+        job.advance(JobState.READY, 0.0)
         job.advance(JobState.DISPATCHED, 1.0)
-        job.advance(JobState.QUEUED, 1.0)
+        job.advance(JobState.FETCHING, 1.0)
         job.processor_at = 50.0
         job.data_ready_at = 80.0
         job.advance(JobState.RUNNING, 80.0)
-        job.advance(JobState.COMPLETED, 380.0)
+        job.advance(JobState.DONE, 380.0)
         return job
 
     def test_response_time(self):

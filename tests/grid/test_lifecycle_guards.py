@@ -28,8 +28,9 @@ def force_state(job, state):
 
 def test_matrix_is_total():
     assert len(ALL_PAIRS) == len(ALL_STATES) ** 2
-    # Canonical members only — the legacy aliases must not inflate it.
+    # The canonical members, indexed in declaration order.
     assert len(ALL_STATES) == 12
+    assert [state.index for state in ALL_STATES] == list(range(12))
 
 
 @pytest.mark.parametrize(
@@ -76,7 +77,7 @@ class TestEngineRejection:
         engine = TransitionEngine()
         job = make_job()
         engine.register(job)
-        before_counts = dict(engine.counts)
+        before_counts = list(engine.counts)
         before_applied = engine.transitions_applied
         with pytest.raises(IllegalTransition):
             engine.transition(job, JobState.RUNNING)
@@ -114,7 +115,7 @@ class TestEngineBookkeeping:
         job = make_job()
         engine.register(job)
         engine.register(job)
-        assert engine.counts[JobState.WAITING] == 1
+        assert engine.counts[JobState.WAITING.index] == 1
 
     def test_register_supersedes_reused_id(self):
         engine = TransitionEngine()
@@ -124,8 +125,8 @@ class TestEngineBookkeeping:
         second = make_job()  # same id, fresh object
         engine.register(second)
         assert engine.jobs[7] is second
-        assert engine.counts[JobState.READY] == 0
-        assert engine.counts[JobState.WAITING] == 1
+        assert engine.counts[JobState.READY.index] == 0
+        assert engine.counts[JobState.WAITING.index] == 1
         assert engine.audit() == []
 
     def test_jobs_in_returns_sorted_by_id(self):
@@ -148,13 +149,13 @@ class TestEngineBookkeeping:
         job = make_job()
         engine.register(job)
         assert engine.audit() == []
-        engine.by_state[JobState.WAITING].discard(job.job_id)
-        engine.counts[JobState.WAITING] = 0
-        engine.counts[JobState.DONE] = 1  # keep the sum right
+        engine.by_state[JobState.WAITING.index].discard(job.job_id)
+        engine.counts[JobState.WAITING.index] = 0
+        engine.counts[JobState.DONE.index] = 1  # keep the sum right
         problems = engine.audit()
         assert any("missing from its state set" in p for p in problems)
         assert any("recount says" in p for p in problems)
-        engine.counts[JobState.DONE] = 0
+        engine.counts[JobState.DONE.index] = 0
         assert any("are registered" in p for p in engine.audit())
 
 
@@ -356,5 +357,5 @@ class TestTypedEdges:
             "job.bounced", "job.deflected", "job.redirect",
             "job.misdirected"]
         # Self-edges never disturb the counts.
-        assert engine.counts[JobState.READY] == 1
+        assert engine.counts[JobState.READY.index] == 1
         assert engine.audit() == []

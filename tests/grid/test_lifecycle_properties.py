@@ -90,10 +90,11 @@ def test_observed_sequences_fit_the_model(seed, es, ds, catalog_delay,
 
     # Conservation: per-state counts sum to the registered total, and the
     # set-based bookkeeping agrees with the counters exactly.
-    assert sum(engine.counts.values()) == total
+    assert sum(engine.counts) == total
     assert engine.audit() == []
     for state in JobState:
-        assert engine.counts[state] == len(engine.by_state[state])
+        assert engine.counts[state.index] == len(
+            engine.by_state[state.index])
 
     # A finished closed-loop (or DAG) run leaves every job settled.
     for job in engine.jobs.values():

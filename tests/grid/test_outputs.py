@@ -16,7 +16,7 @@ def make_job(job_id=0, origin="site00", inputs=("d0",), runtime=100.0,
     job = Job(job_id=job_id, user="u", origin_site=origin,
               input_files=list(inputs), runtime_s=runtime,
               output_size_mb=output_mb)
-    job.advance(JobState.SUBMITTED, 0.0)
+    job.advance(JobState.READY, 0.0)
     job.advance(JobState.DISPATCHED, 0.0)
     job.execution_site = origin
     return job
@@ -71,7 +71,7 @@ class TestOutputStorage:
         p = grid.sites["site03"].enqueue(job)
         sim.run(until=p)
         assert grid.sites["site03"].outputs_dropped == 1
-        assert job.state is JobState.COMPLETED  # job itself succeeds
+        assert job.state is JobState.DONE  # job itself succeeds
 
 
 class TestOutputWorkload:

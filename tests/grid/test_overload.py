@@ -131,7 +131,7 @@ class TestBoundedQueues:
         assert "job.deflected" in kinds
         assert "es.degraded" in kinds
         sim.run()
-        assert all(j.state is JobState.COMPLETED for j in jobs)
+        assert all(j.state is JobState.DONE for j in jobs)
 
     def test_budget_exhaustion_sheds(self):
         policy = OverloadPolicy(queue_capacity=1, deflect_budget=0)
@@ -191,7 +191,7 @@ class TestDeadlines:
                       if r.kind == "job.expired")
         assert record.detail["waited_s"] == pytest.approx(50.0)
         sim.run()
-        assert first.state is JobState.COMPLETED
+        assert first.state is JobState.DONE
         assert all(s.jobs_in_system == 0 for s in grid.sites.values())
 
     def test_expiry_frees_no_processor_it_never_held(self):
@@ -204,7 +204,7 @@ class TestDeadlines:
         third = job(2, runtime_s=10.0)
         grid.submit(third)
         sim.run()
-        assert third.state is JobState.COMPLETED
+        assert third.state is JobState.DONE
 
     def test_job_level_deadline_overrides_policy(self):
         policy = OverloadPolicy(job_deadline_s=50.0)
@@ -214,7 +214,7 @@ class TestDeadlines:
         grid.submit(job(0, runtime_s=200.0))
         grid.submit(patient)
         sim.run()
-        assert patient.state is JobState.COMPLETED
+        assert patient.state is JobState.DONE
 
     def test_zero_deadline_means_none(self):
         policy = OverloadPolicy(queue_capacity=50)  # non-null, no deadline
@@ -223,7 +223,7 @@ class TestDeadlines:
         waiter = job(1, runtime_s=5_000.0)
         grid.submit(waiter)
         sim.run()
-        assert waiter.state is JobState.COMPLETED
+        assert waiter.state is JobState.DONE
 
     def test_dispatch_mode_expiry_withdraws_pending_entry(self):
         policy = OverloadPolicy(job_deadline_s=50.0)
@@ -240,7 +240,7 @@ class TestDeadlines:
         # job remains anywhere in the site.
         assert site.load == 0
         sim.run()
-        assert first.state is JobState.COMPLETED
+        assert first.state is JobState.DONE
         assert grid.overload_stats.jobs_expired == 1
         assert all(s.jobs_in_system == 0 for s in grid.sites.values())
 
@@ -295,7 +295,7 @@ class TestDegradedMode:
                       if r.kind == "es.degraded")
         assert record.detail["es"] == "least-loaded"
         sim.run()
-        assert j.state is JobState.COMPLETED
+        assert j.state is JobState.DONE
 
     def test_named_degraded_es_is_used(self):
         policy = OverloadPolicy(degraded_es="JobLocal")
@@ -309,7 +309,7 @@ class TestDegradedMode:
                       if r.kind == "es.degraded")
         assert record.detail["es"] == "JobLocal"
         sim.run()
-        assert j.state is JobState.COMPLETED
+        assert j.state is JobState.DONE
 
     def test_without_policy_a_wedged_primary_still_raises(self):
         sim, grid = make_grid(external_scheduler=_WedgedES())
@@ -350,7 +350,7 @@ class TestRemoteRead:
         j = Job(0, "user0", "site00", ["remote"], 100.0)
         process = grid.submit(j)
         done = sim.run(until=process)
-        assert done is j and j.state is JobState.COMPLETED
+        assert done is j and j.state is JobState.DONE
         # The traffic was paid but nothing landed, nothing was pinned.
         assert j.fetched_mb == 550.0
         assert "remote" not in grid.storages["site00"]

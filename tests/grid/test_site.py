@@ -8,7 +8,7 @@ from repro.grid import Job, JobState
 def make_job(job_id=0, origin="site00", inputs=("d0",), runtime=100.0):
     job = Job(job_id=job_id, user="u", origin_site=origin,
               input_files=list(inputs), runtime_s=runtime)
-    job.advance(JobState.SUBMITTED, 0.0)
+    job.advance(JobState.READY, 0.0)
     job.advance(JobState.DISPATCHED, 0.0)
     job.execution_site = origin
     return job
@@ -21,7 +21,7 @@ class TestExecution:
         p = grid.sites["site00"].enqueue(job)
         result = sim.run(until=p)
         assert result is job
-        assert job.state is JobState.COMPLETED
+        assert job.state is JobState.DONE
         assert job.completed_at == pytest.approx(100.0)
         assert job.queue_time == 0.0
         assert job.transfer_time == 0.0

@@ -40,7 +40,7 @@ def build(n_sites=3, processors=1, bandwidth=10.0, sizes=(1000,)):
 def job(job_id, origin, inputs, runtime):
     j = Job(job_id=job_id, user=f"u{job_id}", origin_site=origin,
             input_files=list(inputs), runtime_s=runtime)
-    j.advance(JobState.SUBMITTED, 0.0)
+    j.advance(JobState.READY, 0.0)
     j.advance(JobState.DISPATCHED, 0.0)
     j.execution_site = origin
     return j

@@ -126,7 +126,7 @@ class TestBrokenJobInput:
         _, sim, grid = small_setup()
         job = Job(job_id=0, user="u", origin_site="site00",
                   input_files=["phantom-file"], runtime_s=10)
-        job.advance(JobState.SUBMITTED, 0.0)
+        job.advance(JobState.READY, 0.0)
         job.advance(JobState.DISPATCHED, 0.0)
         job.execution_site = "site00"
         p = grid.sites["site00"].enqueue(job)

@@ -94,7 +94,7 @@ class TestTheGap:
         assert (len(grid.completed_jobs)
                 + len(grid.failed_jobs)) == N_JOBS
         states = {j.state for j in grid.submitted_jobs}
-        assert states <= {JobState.COMPLETED, JobState.FAILED}
+        assert states <= {JobState.DONE, JobState.FAILED}
 
     def test_watchdog_has_no_objection(self, gap_run):
         # The gap is *legal* without the durability layer: the books

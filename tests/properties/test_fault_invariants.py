@@ -6,7 +6,7 @@ transfer drops, MTBF churn, tight retry budgets — and runs a small grid
 to completion under each.  Whatever the plan, the system must conserve
 its books:
 
-* every submitted job ends the run either COMPLETED or FAILED;
+* every submitted job ends the run either DONE or FAILED;
 * storage occupancy never exceeds capacity and no pins leak negative;
 * a pinned file is never LRU-evicted;
 * the replica catalog and the storage contents agree exactly.
@@ -139,7 +139,7 @@ common_settings = settings(
 def test_every_job_completes_or_is_accounted_failed(plan):
     grid, _ = run_under_plan(plan)
     states = [job.state for job in grid.submitted_jobs]
-    assert all(s in (JobState.COMPLETED, JobState.FAILED) for s in states)
+    assert all(s in (JobState.DONE, JobState.FAILED) for s in states)
     assert len(grid.completed_jobs) + len(grid.failed_jobs) == len(states)
     assert len(grid.submitted_jobs) == 120  # nothing dropped pre-submit
     # No stragglers left inside any site and no wire still hot.

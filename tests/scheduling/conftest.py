@@ -44,7 +44,7 @@ def load_site(grid, site, n_jobs, runtime=10_000.0):
         job = make_job(job_id=1000 + i, origin=site,
                        inputs=(grid.catalog.datasets_at(site)[0],),
                        runtime=runtime)
-        job.advance(JobState.SUBMITTED, grid.sim.now)
+        job.advance(JobState.READY, grid.sim.now)
         job.advance(JobState.DISPATCHED, grid.sim.now)
         job.execution_site = site
         grid.sites[site].enqueue(job)

@@ -15,7 +15,7 @@ def run_demand(ds, requests, horizon=500.0):
     sim, grid = build_grid(ds=ds)
     for i, origin in enumerate(requests):
         job = make_job(job_id=i, origin=origin, inputs=("d0",), runtime=1.0)
-        job.advance(JobState.SUBMITTED, 0.0)
+        job.advance(JobState.READY, 0.0)
         job.advance(JobState.DISPATCHED, 0.0)
         job.execution_site = "site00"
         grid.sites["site00"].enqueue(job)
@@ -63,7 +63,7 @@ class TestBestClientReplication:
                 ["site01", "site01", "site01", "site02"]):
             job = make_job(job_id=i, origin=origin, inputs=("d0",),
                            runtime=1.0)
-            job.advance(JobState.SUBMITTED, 0.0)
+            job.advance(JobState.READY, 0.0)
             job.advance(JobState.DISPATCHED, 0.0)
             job.execution_site = "site00"
             grid.sites["site00"].enqueue(job)

@@ -10,7 +10,7 @@ from tests.scheduling.conftest import build_grid, make_job
 
 
 def enqueue(grid, job):
-    job.advance(JobState.SUBMITTED, grid.sim.now)
+    job.advance(JobState.READY, grid.sim.now)
     job.advance(JobState.DISPATCHED, grid.sim.now)
     job.execution_site = job.origin_site
     return grid.sites[job.origin_site].enqueue(job)

@@ -17,7 +17,7 @@ def run_with_accesses(ds_policy, accesses=6, runtime=1.0, horizon=2000.0,
     jobs = []
     for i in range(accesses):
         job = make_job(job_id=i, runtime=runtime)
-        job.advance(JobState.SUBMITTED, 0.0)
+        job.advance(JobState.READY, 0.0)
         job.advance(JobState.DISPATCHED, 0.0)
         job.execution_site = "site00"
         jobs.append(grid.sites["site00"].enqueue(job))
@@ -59,7 +59,7 @@ class TestDataRandom:
         sim, grid = build_grid(ds=ds)
         for i in range(6):
             job = make_job(job_id=i, runtime=1.0)
-            job.advance(JobState.SUBMITTED, 0.0)
+            job.advance(JobState.READY, 0.0)
             job.advance(JobState.DISPATCHED, 0.0)
             job.execution_site = "site00"
             grid.sites["site00"].enqueue(job)
@@ -84,7 +84,7 @@ class TestDataLeastLoaded:
         load_site(grid, "site02", 8)
         for i in range(6):
             job = make_job(job_id=i, runtime=1.0)
-            job.advance(JobState.SUBMITTED, 0.0)
+            job.advance(JobState.READY, 0.0)
             job.advance(JobState.DISPATCHED, 0.0)
             job.execution_site = "site00"
             grid.sites["site00"].enqueue(job)
@@ -101,7 +101,7 @@ class TestDataLeastLoaded:
         # so there are no site neighbors and no replication can happen.
         for i in range(6):
             job = make_job(job_id=i, runtime=1.0)
-            job.advance(JobState.SUBMITTED, 0.0)
+            job.advance(JobState.READY, 0.0)
             job.advance(JobState.DISPATCHED, 0.0)
             job.execution_site = "site00"
             grid.sites["site00"].enqueue(job)

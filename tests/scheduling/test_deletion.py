@@ -15,7 +15,7 @@ def run_quiet_grid(ds, horizon):
     """Grid where site01 fetches d0 once and then goes idle forever."""
     sim, grid = build_grid(ds=ds)
     job = make_job(job_id=0, origin="site01", inputs=("d0",), runtime=10)
-    job.advance(JobState.SUBMITTED, 0.0)
+    job.advance(JobState.READY, 0.0)
     job.advance(JobState.DISPATCHED, 0.0)
     job.execution_site = "site01"
     grid.sites["site01"].enqueue(job)

@@ -18,7 +18,7 @@ def run_three_jobs(ls, runtimes=(300.0, 100.0, 200.0)):
     jobs = []
     for i, rt in enumerate(runtimes):
         job = make_job(job_id=i, runtime=rt)
-        job.advance(JobState.SUBMITTED, 0.0)
+        job.advance(JobState.READY, 0.0)
         job.advance(JobState.DISPATCHED, 0.0)
         job.execution_site = "site00"
         jobs.append(job)

@@ -94,6 +94,6 @@ class TestMappedExternalScheduler:
         ]
         grid.add_user(User(sim, "u0", "site00", jobs, grid))
         grid.run()
-        assert len([j for j in jobs if j.state is JobState.COMPLETED]) == 8
+        assert len([j for j in jobs if j.state is JobState.DONE]) == 8
         sites_used = {j.execution_site for j in jobs}
         assert len(sites_used) == 4  # round-robin touched every site
