@@ -25,7 +25,6 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.parallel import DEFAULT_CACHE_DIR
 from repro.experiments.paper import (
     reproduce_figure2,
-    reproduce_figure3_and_4,
     reproduce_figure5,
     table1_parameters,
 )
@@ -428,21 +427,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The 4x3 matrix's paper views: figure -> (title, RunMetrics field).
+FIGURE_VIEWS = {
+    "3a": ("Figure 3a: average response time per job (seconds)",
+           "avg_response_time_s"),
+    "3b": ("Figure 3b: average data transferred per job (MB)",
+           "avg_data_transferred_mb"),
+    "4": ("Figure 4: average idle time of processors (%)", "idle_percent"),
+}
+
+
+def _print_matrix(args: argparse.Namespace, config: SimulationConfig,
+                  views) -> None:
+    """Run the ES x DS matrix and print one table per (title, metric)."""
+    result = run_matrix(config, seeds=tuple(args.seeds), jobs=args.jobs,
+                        cache_dir=_cache_dir(args))
+    print("\n\n".join(
+        format_matrix(title, result.metric_matrix(metric), ALL_ES, ALL_DS)
+        for title, metric in views))
+
+
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    result = run_matrix(config, seeds=tuple(args.seeds),
-                        jobs=args.jobs, cache_dir=_cache_dir(args))
-    print(format_matrix(
-        "Figure 3a: average response time per job (seconds)",
-        result.metric_matrix("avg_response_time_s"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Figure 3b: average data transferred per job (MB)",
-        result.metric_matrix("avg_data_transferred_mb"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Figure 4: average idle time of processors (%)",
-        result.metric_matrix("idle_percent"), ALL_ES, ALL_DS))
+    _print_matrix(args, _build_config(args), FIGURE_VIEWS.values())
     return 0
 
 
@@ -452,61 +458,39 @@ def _cmd_dag(args: argparse.Namespace) -> int:
         # The campaign is about dependencies; default to the diamond
         # motif unless the user picked a shape explicitly.
         config = config.with_(dag_shape="diamond")
-    result = run_matrix(config, seeds=tuple(args.seeds),
-                        jobs=args.jobs, cache_dir=_cache_dir(args))
-    bulk = "on" if config.bulk_submission else "off"
     print(f"DAG campaign: shape={config.dag_shape} "
-          f"width={config.dag_width} bulk={bulk} "
+          f"width={config.dag_width} "
+          f"bulk={'on' if config.bulk_submission else 'off'} "
           f"seeds={list(args.seeds)}")
     print()
-    print(format_matrix(
-        "Average response time per job (seconds)",
-        result.metric_matrix("avg_response_time_s"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Average data transferred per job (MB)",
-        result.metric_matrix("avg_data_transferred_mb"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Jobs completed",
-        result.metric_matrix("n_jobs"), ALL_ES, ALL_DS))
+    _print_matrix(args, config, [
+        ("Average response time per job (seconds)", "avg_response_time_s"),
+        ("Average data transferred per job (MB)", "avg_data_transferred_mb"),
+        ("Jobs completed", "n_jobs")])
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    seeds = tuple(args.seeds)
     if args.which == "2":
         for name, count in reproduce_figure2(config, seed=args.seed,
                                              top_n=args.top):
             print(f"{name:<16}{count:>8}")
         return 0
     if args.which == "5":
-        out = reproduce_figure5(config, seeds=seeds,
+        out = reproduce_figure5(config, seeds=tuple(args.seeds),
                                 jobs=args.jobs, cache_dir=_cache_dir(args))
         print(f"{'':<16}{'10MB/sec':>12}{'100MB/sec':>12}")
         for es in ALL_ES:
             print(f"{es:<16}{out['10MB/sec'][es]:>12.1f}"
                   f"{out['100MB/sec'][es]:>12.1f}")
         return 0
-    result = reproduce_figure3_and_4(config, seeds=seeds,
-                                     jobs=args.jobs,
-                                     cache_dir=_cache_dir(args))
-    views = {
-        "3a": ("Figure 3a: average response time per job (seconds)",
-               result.figure3a()),
-        "3b": ("Figure 3b: average data transferred per job (MB)",
-               result.figure3b()),
-        "4": ("Figure 4: average idle time of processors (%)",
-              result.figure4()),
-    }
-    title, values = views[args.which]
-    print(format_matrix(title, values, ALL_ES, ALL_DS))
+    _print_matrix(args, config, [FIGURE_VIEWS[args.which]])
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import sweep
+    from repro.experiments.sweep import best_value, sweep
 
     config = _build_config(args)
     values = [_parse_value(v) for v in args.values]
@@ -515,8 +499,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                    seeds=tuple(args.seeds),
                    jobs=args.jobs, cache_dir=_cache_dir(args))
     print(result.table())
-    best = result.best_value()
-    print(f"\nbest {args.parameter} for response time: {best}")
+    print(f"\nbest {args.parameter} for response time: "
+          f"{best_value(result)}")
     return 0
 
 
@@ -536,70 +520,28 @@ def _parse_pairs(specs) -> Optional[tuple]:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.experiments.sensitivity import (
-        durability_sweep,
-        overload_sweep,
-        recovery_sweep,
-        staleness_sensitivity,
-    )
+    from repro.experiments import sensitivity as study
+    from repro.experiments.sweep import grid_sweep
 
     config = _build_config(args)
-    pairs = _parse_pairs(args.pairs)
-    kwargs = {"pairs": pairs} if pairs else {}
-    if args.mode == "durability-sweep":
-        result = durability_sweep(
-            config, mtbfs=tuple(args.corruption_mtbfs),
-            rfs=tuple(args.rfs), scrubs=tuple(args.scrubs),
-            seeds=tuple(args.seeds), jobs=args.jobs,
-            cache_dir=_cache_dir(args), **kwargs)
-        print(result.table())
-        print()
-        for es_name, ds_name in result.pairs:
-            for mtbf in result.mtbfs:
-                for scrub in result.scrubs:
-                    rf = result.surviving_rf(es_name, ds_name, mtbf, scrub)
-                    label = (f"{es_name} + {ds_name}, corruption mtbf "
-                             f"{mtbf:g}, scrub {scrub:g}")
-                    print(f"lowest surviving RF for {label}: "
-                          + (f"{rf}" if rf is not None else "none swept"))
-        return 0
-    if args.mode == "recovery-sweep":
-        partitioned = {"both": (False, True), "on": (True,),
-                       "off": (False,)}[args.partition_cells]
-        result = recovery_sweep(
-            config, thresholds=tuple(args.thresholds),
-            mtbfs=tuple(args.mtbfs), partitioned=partitioned,
-            seeds=tuple(args.seeds), jobs=args.jobs,
-            cache_dir=_cache_dir(args), **kwargs)
-        print(result.table())
-        print()
-        for es_name, ds_name in result.pairs:
-            for part in result.partitioned:
-                for mtbf in result.mtbfs:
-                    safe = result.safe_threshold(es_name, ds_name, mtbf,
-                                                 part)
-                    label = (f"{es_name} + {ds_name}, mtbf {mtbf:g}, "
-                             f"partition {'on' if part else 'off'}")
-                    print(f"lowest safe threshold (fp <= 5%) for {label}: "
-                          + (f"{safe:g}" if safe is not None
-                             else "none swept"))
-        return 0
-    if args.mode == "overload-sweep":
-        result = overload_sweep(
-            config, rates=tuple(args.rates),
-            capacities=tuple(args.capacities), seeds=tuple(args.seeds),
-            jobs=args.jobs, cache_dir=_cache_dir(args), **kwargs)
-        print(result.table())
-        return 0
-    result = staleness_sensitivity(
-        config, delays=tuple(args.delays), seeds=tuple(args.seeds),
-        jobs=args.jobs, cache_dir=_cache_dir(args), **kwargs)
-    print(result.table())
-    print()
-    for es_name, ds_name in result.pairs:
-        print(f"worst-case response-time degradation for "
-              f"{es_name} + {ds_name}: "
-              f"{100 * (result.degradation(es_name, ds_name) - 1):.1f} %")
+    partitioned = {"both": (False, True), "on": (True,),
+                   "off": (False,)}[args.partition_cells]
+    axes, report = {
+        "staleness-sweep": (study.staleness_axes(args.delays),
+                            study.staleness_report),
+        "overload-sweep": (study.overload_axes(args.rates, args.capacities),
+                           study.overload_report),
+        "recovery-sweep": (study.recovery_axes(args.thresholds, args.mtbfs,
+                                               partitioned),
+                           study.recovery_report),
+        "durability-sweep": (study.durability_axes(
+            args.corruption_mtbfs, args.rfs, args.scrubs),
+            study.durability_report),
+    }[args.mode]
+    result = grid_sweep(config, axes,
+                        _parse_pairs(args.pairs) or study.DEFAULT_PAIRS,
+                        tuple(args.seeds), args.jobs, _cache_dir(args))
+    print(report(result))
     return 0
 
 

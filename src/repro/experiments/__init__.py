@@ -7,6 +7,8 @@
 * :mod:`~repro.experiments.parallel` — process-pool fan-out of
   independent runs with deterministic merging and an on-disk result
   cache (``run_matrix(..., jobs=N)``).
+* :mod:`~repro.experiments.sweep` — the one grid-sweep engine (pairs ×
+  axes × seeds) behind the matrix, Figure 5 and every sensitivity study.
 * :mod:`~repro.experiments.paper` — entry points that regenerate each
   figure/table of §5 and return the same rows/series the paper plots.
 """
@@ -14,7 +16,7 @@
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parallel import ParallelRunner, ResultCache, RunSpec
 from repro.experiments.persistence import load_matrix, save_matrix
-from repro.experiments.sweep import SweepResult, sweep
+from repro.experiments.sweep import Axis, SweepResult, grid_sweep, sweep
 from repro.experiments.runner import (
     MatrixResult,
     build_grid,
@@ -30,12 +32,14 @@ from repro.experiments.paper import (
 )
 
 __all__ = [
+    "Axis",
     "MatrixResult",
     "ParallelRunner",
     "ResultCache",
     "RunSpec",
     "SimulationConfig",
     "build_grid",
+    "grid_sweep",
     "SweepResult",
     "load_matrix",
     "save_matrix",

@@ -108,11 +108,12 @@ class SimulationConfig:
     allocator: str = "equal-share"
 
     # ---- Fault injection ------------------------------------------------------
-    #: Optional fault plan.  ``None`` (or a null plan) keeps every code
-    #: path bitwise-identical to a fault-free build; any non-null plan
-    #: installs the :mod:`repro.faults` injector.  Part of the frozen,
-    #: hashable config, so faulty runs participate in the parallel
-    #: runner's cache keys and stay reproducible at any worker count.
+    #: Optional fault plan.  ``None`` (a null plan is stored as ``None``)
+    #: keeps every code path bitwise-identical to a fault-free build; any
+    #: non-null plan installs the :mod:`repro.faults` injector.  Part of
+    #: the frozen, hashable config, so faulty runs participate in the
+    #: parallel runner's cache keys and stay reproducible at any worker
+    #: count.
     fault_plan: Optional[FaultPlan] = None
 
     # ---- Overload protection ---------------------------------------------------
@@ -200,6 +201,9 @@ class SimulationConfig:
             # Cache persistence round-trips configs through plain dicts.
             object.__setattr__(
                 self, "fault_plan", FaultPlan.from_json_dict(self.fault_plan))
+        if self.fault_plan is not None and self.fault_plan.is_null:
+            # A null plan is no plan: one config, one cache key.
+            object.__setattr__(self, "fault_plan", None)
         if self.n_users < 1 or self.n_sites < 1 or self.n_datasets < 1:
             raise ValueError("users, sites and datasets must all be >= 1")
         if self.n_jobs < self.n_users:

@@ -22,6 +22,7 @@ from repro.experiments.config import (
     SimulationConfig,
 )
 from repro.experiments.runner import MatrixResult, make_workload, run_matrix
+from repro.experiments.sweep import Axis, grid_sweep
 from repro.scheduling.registry import ALL_DS, ALL_ES
 
 
@@ -104,16 +105,13 @@ def reproduce_figure5(
     """
     if config is None:
         config = SimulationConfig.paper()
-    out: Dict[str, Dict[str, float]] = {}
-    for bandwidth in (SCENARIO_1_BANDWIDTH, SCENARIO_2_BANDWIDTH):
-        scenario = config.with_(bandwidth_mbps=bandwidth)
-        matrix = run_matrix(scenario, ALL_ES, [ds_name], seeds,
-                            jobs=jobs, cache_dir=cache_dir)
-        response = matrix.metric_matrix("avg_response_time_s")
-        out[f"{bandwidth:g}MB/sec"] = {
-            es: response[(es, ds_name)] for es in ALL_ES
-        }
-    return out
+    bandwidths = (SCENARIO_1_BANDWIDTH, SCENARIO_2_BANDWIDTH)
+    grid = grid_sweep(config, [Axis("bandwidth_mbps", bandwidths)],
+                      [(es, ds_name) for es in ALL_ES], seeds,
+                      jobs=jobs, cache_dir=cache_dir)
+    return {f"{bandwidth:g}MB/sec": {
+        es: grid.summary((es, ds_name, bandwidth), "avg_response_time_s").mean
+        for es in ALL_ES} for bandwidth in bandwidths}
 
 
 #: The qualitative claims of §5.3/§5.4 that a faithful reproduction must

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.sweep import grid_sweep
 from repro.grid.arrivals import OpenArrivalProcess
 from repro.grid.grid import DataGrid
 from repro.grid.health import HealthPolicy
@@ -131,11 +131,10 @@ def build_grid(
         delete_idle_after_s=config.ds_delete_idle_after_s,
     )
 
-    # The "faults" stream is only drawn when a plan is active, so adding
-    # the fault layer cannot perturb any other stream in fault-free runs.
+    # The "faults" stream is only drawn when a plan is active (the config
+    # stores a null plan as None), so adding the fault layer cannot
+    # perturb any other stream in fault-free runs.
     fault_plan = config.fault_plan
-    if fault_plan is not None and fault_plan.is_null:
-        fault_plan = None
     # Same contract for the "overload" stream: a null policy is dropped
     # entirely so default configs take the exact pre-overload paths.
     overload_policy = OverloadPolicy(
@@ -277,13 +276,11 @@ def run_replicated(
 ) -> List[RunMetrics]:
     """The paper's three-seed replication for one algorithm pair.
 
-    ``jobs`` fans the seeds out over worker processes (1 = serial;
-    None/0 = all cores); ``cache_dir`` enables the on-disk result cache.
-    Results are identical at any worker count.
+    ``jobs`` and ``cache_dir`` behave as in :func:`run_matrix`.
     """
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    return runner.map(
-        [RunSpec(config, es_name, ds_name, seed) for seed in seeds])
+    grid = grid_sweep(config, (), [(es_name, ds_name)], seeds, jobs,
+                      cache_dir)
+    return grid.runs[(es_name, ds_name)]
 
 
 @dataclass
@@ -306,11 +303,9 @@ class MatrixResult:
         ``metric`` may be any field named in
         :data:`repro.metrics.summary.SUMMARY_FIELDS` or ``idle_percent``.
         """
-        out: Dict[Tuple[str, str], float] = {}
-        for key, runs in self.runs.items():
-            values = [float(getattr(run, metric)) for run in runs]
-            out[key] = sum(values) / len(values)
-        return out
+        return {key: MetricSummary.of(
+                    [float(getattr(run, metric)) for run in runs]).mean
+                for key, runs in self.runs.items()}
 
 
 def run_matrix(
@@ -323,30 +318,11 @@ def run_matrix(
 ) -> MatrixResult:
     """Run every (ES, DS) pair under every seed with paired workloads.
 
-    Runs are independent simulations, so ``jobs`` fans them out over a
-    process pool (1 = serial in-process; None/0 = one worker per core).
-    Workloads are regenerated deterministically from each seed inside the
-    workers, so the returned :class:`MatrixResult` is bitwise-identical
-    at any worker count.  ``cache_dir`` enables the on-disk result cache
-    (see :mod:`repro.experiments.parallel`).
+    A :func:`~repro.experiments.sweep.grid_sweep` with no axes, so
+    ``jobs`` (worker processes; 1 = serial, None/0 = all cores) and
+    ``cache_dir`` (the on-disk result cache) never change the result.
     """
-    result = MatrixResult(config=config, seeds=tuple(seeds))
-    seeds = tuple(seeds)
-    if not seeds:
-        for es_name in es_names:
-            for ds_name in ds_names:
-                result.runs[(es_name, ds_name)] = []
-        return result
-    specs = [
-        RunSpec(config, es_name, ds_name, seed)
-        for es_name in es_names
-        for ds_name in ds_names
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    for pair_index in range(len(specs) // len(seeds)):
-        spec = specs[pair_index * len(seeds)]
-        result.runs[(spec.es_name, spec.ds_name)] = metrics[
-            pair_index * len(seeds):(pair_index + 1) * len(seeds)]
-    return result
+    grid = grid_sweep(config, (), [(es, ds) for es in es_names
+                                   for ds in ds_names], seeds, jobs,
+                      cache_dir)
+    return MatrixResult(config=config, seeds=grid.seeds, runs=grid.runs)

@@ -1,51 +1,32 @@
-"""Sensitivity experiments: where do the paper's findings degrade?
+"""Sensitivity studies: where do the paper's findings degrade?
 
 The paper evaluates every algorithm pair under *perfect* global
-information and load the grid can absorb.  Two sweeps probe past those
-assumptions:
+information and load the grid can absorb.  Four studies probe past those
+assumptions, each a :func:`~repro.experiments.sweep.grid_sweep` over
+chosen (ES, DS) pairs:
 
-* :func:`staleness_sensitivity` re-runs chosen (ES, DS) pairs across a
-  range of replica-catalog propagation delays (the
-  :class:`~repro.grid.staleness.StaleReplicaView` bounded-staleness
-  model) and tabulates response time next to the misdirection/bounce
-  counters, so one table answers: at what delay does
-  ``JobDataPresent``'s data-local advantage stop paying for the jobs it
-  sends to the wrong site?
-* :func:`overload_sweep` drives chosen pairs with an open-loop Poisson
-  arrival stream across an arrival-rate × queue-capacity grid (the
-  :class:`~repro.grid.overload.OverloadPolicy` saturation protections)
-  and tabulates the degradation counters, locating the saturation knee
-  per scheduler pair.
-* :func:`recovery_sweep` runs chosen pairs with the observed failure
-  detector (:mod:`repro.grid.health`) across a detection-threshold ×
-  site-MTBF × partition grid and tabulates detection latency,
-  false-positive rate, wasted speculative work, and goodput — locating
-  the threshold below which the detector's false alarms cost more than
-  its fast detections save.
-* :func:`durability_sweep` runs chosen pairs with the data-durability
-  layer (:mod:`repro.grid.durability`) across a bit-rot-rate ×
-  replication-factor × scrub-period grid and tabulates a survival
-  table (datasets lost, jobs abandoned, repair work) — locating the
-  cheapest (RF, scrub) combination that keeps every dataset alive at
-  each corruption pressure.
+* **staleness** (:mod:`repro.grid.staleness`) — catalog delay: when does
+  ``JobDataPresent``'s data-local advantage stop paying?
+* **overload** (:mod:`repro.grid.overload`) — queue capacity × arrival
+  rate: where is each pair's saturation knee?
+* **recovery** (:mod:`repro.grid.health`) — partition × site MTBF × phi:
+  the fastest detector setting whose false alarms stay rare.
+* **durability** (:mod:`repro.grid.durability`) — bit-rot MTBF ×
+  replication factor × scrub period: the lowest factor losing no data.
 
-Every cell is a full seed-replicated run through the
-:class:`~repro.experiments.parallel.ParallelRunner`, so results are
-bitwise-identical at any worker count and cache-replayable.
+This module holds only what each study owns: its default grid, its axes,
+its table columns and its picker.  Every picker reads its axis in
+ascending order, whatever order the values were listed in.  Each
+``*_report`` renders the study's table and one picker line per series.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.sweep import Axis, Column, SweepResult
 from repro.faults.plan import FaultPlan, NetworkPartition
-from repro.metrics.collector import RunMetrics
-from repro.metrics.summary import MetricSummary
 
 #: Default comparison: the paper's decoupled winner vs the traditional
 #: compute-only baseline.  Both consult replica state (JobDataPresent for
@@ -57,105 +38,55 @@ DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("JobLeastLoaded", "DataDoNothing"),
 )
 
+
+def _report(result: SweepResult, title: str, columns: Sequence[Column],
+            along: str, line: Callable[..., str]) -> str:
+    """The study's table, a blank line, then a picker line per series."""
+    return "\n".join(
+        [result.table(columns, f"{title} ({len(result.seeds)} seed(s))"),
+         ""] + [line(es, ds, at) for es, ds, at in result.slices(along)])
+
+
+# ---- staleness --------------------------------------------------------------
+
 #: Default delay grid (seconds): live oracle, one DS period, and beyond.
 DEFAULT_DELAYS: Tuple[float, ...] = (0.0, 60.0, 300.0, 900.0, 1800.0)
 
 
-@dataclass
-class SensitivityResult:
-    """Results of one staleness sweep over (pair × delay × seed)."""
-
-    delays: Tuple[float, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, delay) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float], List[RunMetrics]] = (
-        field(default_factory=dict))
-
-    def summary(self, es_name: str, ds_name: str, delay: float,
-                metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one (pair, delay) cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, delay)]])
-
-    def series(self, es_name: str, ds_name: str,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair at each delay, in sweep order."""
-        return [self.summary(es_name, ds_name, delay, metric).mean
-                for delay in self.delays]
-
-    def degradation(self, es_name: str, ds_name: str) -> float:
-        """Response-time ratio of the worst delay to the live oracle.
-
-        1.0 means staleness never hurt; 1.4 means the pair lost 40 % of
-        its performance at some swept delay.
-        """
-        series = self.series(es_name, ds_name, "avg_response_time_s")
-        return max(series) / series[0] if series[0] > 0 else 1.0
-
-    def table(self) -> str:
-        """ASCII table: one row per (pair, delay) cell."""
-        lines = [
-            f"catalog-staleness sensitivity ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'delay (s)':>10}{'response (s)':>14}"
-            f"{'misdirected':>12}{'bounced':>9}{'stale reads':>12}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for delay in self.delays:
-                label = f"{es_name} + {ds_name}"
-                lines.append(
-                    f"{label:<34}{delay:>10g}"
-                    f"{self.summary(es_name, ds_name, delay, 'avg_response_time_s').mean:>14.1f}"
-                    f"{self.summary(es_name, ds_name, delay, 'misdirected_jobs').mean:>12.1f}"
-                    f"{self.summary(es_name, ds_name, delay, 'bounced_jobs').mean:>9.1f}"
-                    f"{self.summary(es_name, ds_name, delay, 'stale_reads').mean:>12.1f}")
-        return "\n".join(lines)
+def staleness_axes(delays: Sequence[float] = DEFAULT_DELAYS,
+                   ) -> Tuple[Axis, ...]:
+    """``catalog_delay_s``; every cell of a row runs the same jobs, so
+    only the information quality differs."""
+    return (Axis("catalog_delay_s", [float(d) for d in delays]),)
 
 
-def staleness_sensitivity(
-    config: SimulationConfig,
-    delays: Sequence[float] = DEFAULT_DELAYS,
-    pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> SensitivityResult:
-    """Sweep ``catalog_delay_s`` across ``delays`` for each (ES, DS) pair.
-
-    The workload depends only on the seed, never on the delay, so every
-    cell of a row is a paired comparison: identical jobs, identical
-    placements, only the information quality differs.  ``jobs`` and
-    ``cache_dir`` behave as in :func:`~repro.experiments.runner.run_matrix`.
-    """
-    if not delays:
-        raise ValueError("no delays given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = SensitivityResult(
-        delays=tuple(float(d) for d in delays),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
-    specs = [
-        RunSpec(config.with_(catalog_delay_s=delay), es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for delay in result.delays
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for delay in result.delays:
-            result.runs[(es_name, ds_name, delay)] = metrics[
-                index:index + len(seeds)]
-            index += len(seeds)
-    return result
+STALENESS_COLUMNS = (
+    Column("delay (s)", 10, "catalog_delay_s", "g"),
+    Column("response (s)", 14, "avg_response_time_s"),
+    Column("misdirected", 12, "misdirected_jobs"),
+    Column("bounced", 9, "bounced_jobs"),
+    Column("stale reads", 12, "stale_reads"),
+)
 
 
-# ---- overload sweep ---------------------------------------------------------
+def degradation(result: SweepResult, es_name: str, ds_name: str) -> float:
+    """Response-time ratio of the worst delay to the smallest swept one
+    (the live catalog whenever 0 is swept): 1.0 means staleness never
+    hurt; 1.4 means the pair lost 40 % of its performance."""
+    means = [summary.mean for _, summary in
+             result.series("avg_response_time_s", es_name, ds_name)]
+    return max(means) / means[0] if means[0] > 0 else 1.0
+
+
+def staleness_report(result: SweepResult) -> str:
+    return _report(
+        result, "catalog-staleness sensitivity", STALENESS_COLUMNS,
+        "catalog_delay_s", lambda es, ds, at: (
+            f"worst-case response-time degradation for {es} + {ds}: "
+            f"{100 * (degradation(result, es, ds) - 1):.1f} %"))
+
+
+# ---- overload ---------------------------------------------------------------
 
 #: Default offered-load grid, jobs/s.  At test scales the low end is
 #: comfortably sub-critical and the high end is far past saturation; real
@@ -166,128 +97,52 @@ DEFAULT_RATES: Tuple[float, ...] = (0.02, 0.05, 0.1, 0.2)
 DEFAULT_CAPACITIES: Tuple[int, ...] = (4, 16)
 
 
-@dataclass
-class OverloadSweepResult:
-    """Results of one overload sweep over (pair × rate × capacity × seed)."""
+def overload_axes(rates: Sequence[float] = DEFAULT_RATES,
+                  capacities: Sequence[int] = DEFAULT_CAPACITIES,
+                  ) -> Tuple[Axis, ...]:
+    """Queue capacity (0 = unbounded), then the open-loop Poisson arrival
+    rate that replaces the paper's closed-loop users.  Other overload
+    knobs come from the config."""
+    return (Axis("queue_capacity", [int(c) for c in capacities]),
+            Axis("arrival_rate_per_s", [float(r) for r in rates]))
 
-    rates: Tuple[float, ...]
-    capacities: Tuple[int, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, rate, capacity) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float, int], List[RunMetrics]] = (
-        field(default_factory=dict))
 
-    def summary(self, es_name: str, ds_name: str, rate: float,
-                capacity: int, metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one sweep cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, rate, capacity)]])
+OVERLOAD_COLUMNS = (
+    Column("rate/s", 8, "arrival_rate_per_s", "g"),
+    Column("cap", 5, "queue_capacity", "d"),
+    Column("response (s)", 14, "avg_response_time_s"),
+    Column("shed", 6, "jobs_shed"),
+    Column("expired", 8, "jobs_expired"),
+    Column("deflected", 10, "jobs_deflected"),
+    Column("peak q", 7, "peak_queue_depth"),
+)
 
-    def series(self, es_name: str, ds_name: str, capacity: int,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair/capacity at each rate."""
-        return [
-            self.summary(es_name, ds_name, rate, capacity, metric).mean
-            for rate in self.rates]
 
-    def knee(self, es_name: str, ds_name: str, capacity: int,
-             factor: float = 2.0) -> Optional[float]:
-        """The saturation knee: the first swept arrival rate whose mean
-        response time exceeds ``factor`` × the lowest-rate response.
-        ``None`` = the pair absorbed every swept rate.
-        """
-        series = self.series(es_name, ds_name, capacity,
-                             "avg_response_time_s")
-        baseline = series[0]
-        if baseline <= 0:
-            return None
-        for rate, value in zip(self.rates, series):
-            if value > factor * baseline:
-                return rate
+def knee(result: SweepResult, es_name: str, ds_name: str,
+         at: Dict[str, object], factor: float = 2.0) -> Optional[float]:
+    """The saturation knee: the lowest swept arrival rate whose mean
+    response time exceeds ``factor`` × the lowest rate's.  ``None`` =
+    the pair absorbed every swept rate."""
+    series = result.series("avg_response_time_s", es_name, ds_name, at)
+    baseline = series[0][1].mean
+    if baseline <= 0:
         return None
-
-    def table(self) -> str:
-        """ASCII degradation table: one row per (pair, rate, capacity)."""
-        lines = [
-            f"overload sweep ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'rate/s':>8}{'cap':>5}{'response (s)':>14}"
-            f"{'shed':>6}{'expired':>8}{'deflected':>10}{'peak q':>7}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for capacity in self.capacities:
-                for rate in self.rates:
-                    cell = lambda m: self.summary(  # noqa: E731
-                        es_name, ds_name, rate, capacity, m).mean
-                    label = f"{es_name} + {ds_name}"
-                    lines.append(
-                        f"{label:<34}{rate:>8g}{capacity:>5d}"
-                        f"{cell('avg_response_time_s'):>14.1f}"
-                        f"{cell('jobs_shed'):>6.1f}"
-                        f"{cell('jobs_expired'):>8.1f}"
-                        f"{cell('jobs_deflected'):>10.1f}"
-                        f"{cell('peak_queue_depth'):>7.1f}")
-                knee = self.knee(es_name, ds_name, capacity)
-                lines.append(
-                    f"  knee (2x response) at capacity {capacity}: "
-                    + (f"{knee:g} jobs/s" if knee is not None
-                       else "not reached"))
-        return "\n".join(lines)
+    return next((rate for rate, response in series
+                 if response.mean > factor * baseline), None)
 
 
-def overload_sweep(
-    config: SimulationConfig,
-    rates: Sequence[float] = DEFAULT_RATES,
-    capacities: Sequence[int] = DEFAULT_CAPACITIES,
-    pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> OverloadSweepResult:
-    """Sweep open-loop arrival rate × queue capacity for each pair.
+def overload_report(result: SweepResult) -> str:
+    def line(es: str, ds: str, at: Dict[str, object]) -> str:
+        rate = knee(result, es, ds, at)
+        return (f"knee (2x response) for {es} + {ds} at capacity "
+                f"{at['queue_capacity']}: "
+                + (f"{rate:g} jobs/s" if rate is not None
+                   else "not reached"))
+    return _report(result, "overload sweep", OVERLOAD_COLUMNS,
+                   "arrival_rate_per_s", line)
 
-    Each cell replaces the paper's closed-loop users with a Poisson
-    stream at the given rate and bounds every site queue at the given
-    capacity (0 = unbounded, the graceful-degradation control).  The
-    workload depends only on the seed, so cells along the rate axis are
-    paired comparisons.  Other overload knobs (deadline, reservations,
-    degraded ES) are taken from ``config`` unchanged.
-    """
-    if not rates:
-        raise ValueError("no arrival rates given")
-    if not capacities:
-        raise ValueError("no queue capacities given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = OverloadSweepResult(
-        rates=tuple(float(r) for r in rates),
-        capacities=tuple(int(c) for c in capacities),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
-    specs = [
-        RunSpec(
-            config.with_(arrival_rate_per_s=rate, queue_capacity=capacity),
-            es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for rate in result.rates
-        for capacity in result.capacities
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for rate in result.rates:
-            for capacity in result.capacities:
-                result.runs[(es_name, ds_name, rate, capacity)] = metrics[
-                    index:index + len(seeds)]
-                index += len(seeds)
-    return result
 
-# ---- recovery sweep ---------------------------------------------------------
+# ---- recovery ---------------------------------------------------------------
 
 #: Default phi-suspicion thresholds: hair-trigger, default, conservative.
 DEFAULT_THRESHOLDS: Tuple[float, ...] = (2.0, 3.0, 6.0)
@@ -298,166 +153,73 @@ DEFAULT_THRESHOLDS: Tuple[float, ...] = (2.0, 3.0, 6.0)
 DEFAULT_MTBFS: Tuple[float, ...] = (0.0, 3600.0, 14400.0)
 
 
-def _partition_for(config: SimulationConfig, start_s: float,
-                   duration_s: float) -> NetworkPartition:
-    """The sweep's canonical partition: the first quarter of the sites
-    (at least one) cut off for one window."""
-    count = max(1, config.n_sites // 4)
-    sites = tuple(f"site{s:02d}" for s in range(count))
-    return NetworkPartition(sites=sites, start_s=start_s,
-                            end_s=start_s + duration_s)
-
-
-@dataclass
-class RecoverySweepResult:
-    """Results of one recovery sweep over
-    (pair × threshold × MTBF × partition × seed)."""
-
-    thresholds: Tuple[float, ...]
-    mtbfs: Tuple[float, ...]
-    partitioned: Tuple[bool, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, threshold, mtbf, partitioned) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float, float, bool], List[RunMetrics]] = (
-        field(default_factory=dict))
-
-    def summary(self, es_name: str, ds_name: str, threshold: float,
-                mtbf: float, part: bool, metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one sweep cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, threshold, mtbf, part)]])
-
-    def series(self, es_name: str, ds_name: str, mtbf: float, part: bool,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair/MTBF/partition at each
-        threshold, in sweep order."""
-        return [
-            self.summary(es_name, ds_name, threshold, mtbf, part, metric).mean
-            for threshold in self.thresholds]
-
-    def safe_threshold(self, es_name: str, ds_name: str, mtbf: float,
-                       part: bool, max_fp_rate: float = 0.05
-                       ) -> Optional[float]:
-        """The lowest swept threshold whose false-positive rate stays at
-        or under ``max_fp_rate`` — i.e. the fastest detector setting that
-        is not crying wolf.  ``None`` = every swept threshold exceeded it.
-        """
-        for threshold in self.thresholds:
-            fp = self.summary(es_name, ds_name, threshold, mtbf, part,
-                              "false_positive_rate").mean
-            if fp <= max_fp_rate:
-                return threshold
-        return None
-
-    def table(self) -> str:
-        """ASCII table: one row per (pair, threshold, mtbf, partition)."""
-        lines = [
-            f"recovery sweep ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'phi':>5}{'mtbf (s)':>10}{'part':>6}"
-            f"{'detect (s)':>12}{'fp rate':>9}{'wasted (s)':>12}"
-            f"{'goodput':>9}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for part in self.partitioned:
-                for mtbf in self.mtbfs:
-                    for threshold in self.thresholds:
-                        cell = lambda m: self.summary(  # noqa: E731
-                            es_name, ds_name, threshold, mtbf, part, m).mean
-                        label = f"{es_name} + {ds_name}"
-                        lines.append(
-                            f"{label:<34}{threshold:>5g}{mtbf:>10g}"
-                            f"{'yes' if part else 'no':>6}"
-                            f"{cell('mean_detection_latency_s'):>12.1f}"
-                            f"{cell('false_positive_rate'):>9.3f}"
-                            f"{cell('speculative_wasted_s'):>12.1f}"
-                            f"{cell('goodput'):>9.3f}")
-        return "\n".join(lines)
-
-
-def recovery_sweep(
-    config: SimulationConfig,
-    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    mtbfs: Sequence[float] = DEFAULT_MTBFS,
-    partitioned: Sequence[bool] = (False, True),
-    pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    partition_start_s: float = 1800.0,
-    partition_duration_s: float = 1800.0,
-) -> RecoverySweepResult:
-    """Sweep the observed failure detector across a threshold × MTBF ×
-    partition grid for each (ES, DS) pair.
-
-    Every cell runs with heartbeats on (``config.health_heartbeat_s`` if
-    set, else 30 s) and the swept phi threshold; the fault plan is the
-    config's plan with ``site_mtbf_s`` overridden per cell and, in the
-    partitioned cells, one canonical partition added (the first quarter
-    of the sites, cut off for ``partition_duration_s`` starting at
-    ``partition_start_s``).  The workload depends only on the seed, so
-    cells along every axis are paired comparisons.
-    """
-    if not thresholds:
-        raise ValueError("no detection thresholds given")
-    if not mtbfs:
-        raise ValueError("no MTBF values given")
-    if not partitioned:
-        raise ValueError("no partition settings given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = RecoverySweepResult(
-        thresholds=tuple(float(t) for t in thresholds),
-        mtbfs=tuple(float(m) for m in mtbfs),
-        partitioned=tuple(bool(p) for p in partitioned),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
-    heartbeat = (config.health_heartbeat_s
-                 if config.health_heartbeat_s > 0 else 30.0)
-    base_plan = config.fault_plan or FaultPlan()
-    partition = _partition_for(config, partition_start_s,
-                               partition_duration_s)
-
-    def cell_config(threshold: float, mtbf: float,
-                    part: bool) -> SimulationConfig:
-        plan = dataclasses.replace(
-            base_plan,
-            site_mtbf_s=mtbf,
-            partitions=(base_plan.partitions + (partition,)
-                        if part else base_plan.partitions),
-        )
+def recovery_axes(thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
+                  mtbfs: Sequence[float] = DEFAULT_MTBFS,
+                  partitioned: Sequence[bool] = (False, True),
+                  partition_start_s: float = 1800.0,
+                  partition_duration_s: float = 1800.0,
+                  ) -> Tuple[Axis, ...]:
+    """Partition, site MTBF, then phi threshold.  A partitioned cell adds
+    one canonical partition to the config's own plan: the first quarter
+    of the sites (at least one) cut off for ``partition_duration_s`` from
+    ``partition_start_s``.  Heartbeats are the config's, else 30 s."""
+    def partition(config: SimulationConfig, part: bool) -> SimulationConfig:
+        if not part:
+            return config
+        count = max(1, config.n_sites // 4)
+        cut = NetworkPartition(
+            sites=tuple(f"site{s:02d}" for s in range(count)),
+            start_s=partition_start_s,
+            end_s=partition_start_s + partition_duration_s)
+        plan = config.fault_plan or FaultPlan()
         return config.with_(
-            fault_plan=(plan if not plan.is_null else None),
-            health_heartbeat_s=heartbeat,
-            health_phi_threshold=threshold,
-        )
+            fault_plan=plan.with_(partitions=plan.partitions + (cut,)))
 
-    specs = [
-        RunSpec(cell_config(threshold, mtbf, part), es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for part in result.partitioned
-        for mtbf in result.mtbfs
-        for threshold in result.thresholds
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for part in result.partitioned:
-            for mtbf in result.mtbfs:
-                for threshold in result.thresholds:
-                    result.runs[
-                        (es_name, ds_name, threshold, mtbf, part)] = metrics[
-                        index:index + len(seeds)]
-                    index += len(seeds)
-    return result
+    def threshold(config: SimulationConfig, phi: float) -> SimulationConfig:
+        return config.with_(
+            health_phi_threshold=phi,
+            health_heartbeat_s=config.health_heartbeat_s or 30.0)
+
+    return (Axis("partition", [bool(p) for p in partitioned], partition),
+            Axis("fault_plan.site_mtbf_s", [float(m) for m in mtbfs]),
+            Axis("health_phi_threshold", [float(t) for t in thresholds],
+                 threshold))
 
 
-# ---- durability sweep -------------------------------------------------------
+RECOVERY_COLUMNS = (
+    Column("phi", 5, "health_phi_threshold", "g"),
+    Column("mtbf (s)", 10, "fault_plan.site_mtbf_s", "g"),
+    Column("part", 6, "partition", lambda part: "yes" if part else "no"),
+    Column("detect (s)", 12, "mean_detection_latency_s"),
+    Column("fp rate", 9, "false_positive_rate", ".3f"),
+    Column("wasted (s)", 12, "speculative_wasted_s"),
+    Column("goodput", 9, "goodput", ".3f"),
+)
+
+
+def safe_threshold(result: SweepResult, es_name: str, ds_name: str,
+                   at: Dict[str, object],
+                   max_fp_rate: float = 0.05) -> Optional[float]:
+    """The lowest swept threshold whose false-positive rate stays at or
+    under ``max_fp_rate`` — the fastest detector setting that is not
+    crying wolf.  ``None`` = every swept threshold exceeded it."""
+    return next((phi for phi, fp in result.series(
+        "false_positive_rate", es_name, ds_name, at)
+        if fp.mean <= max_fp_rate), None)
+
+
+def recovery_report(result: SweepResult) -> str:
+    def line(es: str, ds: str, at: Dict[str, object]) -> str:
+        safe = safe_threshold(result, es, ds, at)
+        return (f"lowest safe threshold (fp <= 5%) for {es} + {ds}, "
+                f"mtbf {at['fault_plan.site_mtbf_s']:g}, "
+                f"partition {'on' if at['partition'] else 'off'}: "
+                + (f"{safe:g}" if safe is not None else "none swept"))
+    return _report(result, "recovery sweep", RECOVERY_COLUMNS,
+                   "health_phi_threshold", line)
+
+
+# ---- durability -------------------------------------------------------------
 
 #: Default per-site bit-rot MTBF grid (seconds).  0 = no corruption, the
 #: baseline control; the rest span occasional to aggressive rot at test
@@ -473,137 +235,47 @@ DEFAULT_RFS: Tuple[int, ...] = (1, 2)
 DEFAULT_SCRUBS: Tuple[float, ...] = (0.0, 600.0)
 
 
-@dataclass
-class DurabilitySweepResult:
-    """Results of one durability sweep over
-    (pair × corruption-MTBF × RF × scrub × seed)."""
+def durability_axes(mtbfs: Sequence[float] = DEFAULT_CORRUPTION_MTBFS,
+                    rfs: Sequence[int] = DEFAULT_RFS,
+                    scrubs: Sequence[float] = DEFAULT_SCRUBS,
+                    ) -> Tuple[Axis, ...]:
+    """Per-site bit-rot MTBF in the config's plan, replication factor
+    (factors above 1 arm the RepairManager, 1 is the detection-only
+    baseline), then scrub period."""
+    def replication(config: SimulationConfig, rf: int) -> SimulationConfig:
+        return config.with_(replication_factor=rf, durability_repair=rf > 1)
 
-    mtbfs: Tuple[float, ...]
-    rfs: Tuple[int, ...]
-    scrubs: Tuple[float, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, mtbf, rf, scrub) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float, int, float], List[RunMetrics]] = (
-        field(default_factory=dict))
-
-    def summary(self, es_name: str, ds_name: str, mtbf: float, rf: int,
-                scrub: float, metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one sweep cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, mtbf, rf, scrub)]])
-
-    def series(self, es_name: str, ds_name: str, rf: int, scrub: float,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair/RF/scrub at each corruption
-        MTBF, in sweep order."""
-        return [
-            self.summary(es_name, ds_name, mtbf, rf, scrub, metric).mean
-            for mtbf in self.mtbfs]
-
-    def surviving_rf(self, es_name: str, ds_name: str, mtbf: float,
-                     scrub: float) -> Optional[int]:
-        """The lowest swept replication factor that lost zero datasets
-        across every seed at this corruption pressure.  ``None`` = every
-        swept factor lost data.
-        """
-        for rf in sorted(self.rfs):
-            lost = [m.datasets_lost
-                    for m in self.runs[(es_name, ds_name, mtbf, rf, scrub)]]
-            if max(lost) == 0:
-                return rf
-        return None
-
-    def table(self) -> str:
-        """ASCII survival table: one row per (pair, mtbf, rf, scrub)."""
-        lines = [
-            f"durability sweep ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'mtbf (s)':>10}{'rf':>4}{'scrub':>7}"
-            f"{'corrupt':>9}{'repaired':>9}{'lost':>6}{'abandoned':>10}"
-            f"{'response (s)':>14}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for mtbf in self.mtbfs:
-                for rf in self.rfs:
-                    for scrub in self.scrubs:
-                        cell = lambda m: self.summary(  # noqa: E731
-                            es_name, ds_name, mtbf, rf, scrub, m).mean
-                        label = f"{es_name} + {ds_name}"
-                        lines.append(
-                            f"{label:<34}{mtbf:>10g}{rf:>4d}{scrub:>7g}"
-                            f"{cell('replicas_corrupted'):>9.1f}"
-                            f"{cell('replicas_repaired'):>9.1f}"
-                            f"{cell('datasets_lost'):>6.1f}"
-                            f"{cell('jobs_abandoned_data_lost'):>10.1f}"
-                            f"{cell('avg_response_time_s'):>14.1f}")
-        return "\n".join(lines)
+    return (Axis("fault_plan.corruption_mtbf_s", [float(m) for m in mtbfs]),
+            Axis("replication_factor", [int(r) for r in rfs], replication),
+            Axis("scrub_interval_s", [float(s) for s in scrubs]))
 
 
-def durability_sweep(
-    config: SimulationConfig,
-    mtbfs: Sequence[float] = DEFAULT_CORRUPTION_MTBFS,
-    rfs: Sequence[int] = DEFAULT_RFS,
-    scrubs: Sequence[float] = DEFAULT_SCRUBS,
-    pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> DurabilitySweepResult:
-    """Sweep bit-rot pressure × replication factor × scrub period for
-    each (ES, DS) pair.
+DURABILITY_COLUMNS = (
+    Column("mtbf (s)", 10, "fault_plan.corruption_mtbf_s", "g"),
+    Column("rf", 4, "replication_factor", "d"),
+    Column("scrub", 7, "scrub_interval_s", "g"),
+    Column("corrupt", 9, "replicas_corrupted"),
+    Column("repaired", 9, "replicas_repaired"),
+    Column("lost", 6, "datasets_lost"),
+    Column("abandoned", 10, "jobs_abandoned_data_lost"),
+    Column("response (s)", 14, "avg_response_time_s"),
+)
 
-    Every cell overrides the config's fault plan with the swept per-site
-    ``corruption_mtbf_s`` and runs the durability layer at the swept
-    replication factor and scrub period; factors above 1 arm the
-    RepairManager, factor 1 is the detection-only baseline (the paper's
-    single-primary behavior plus checksums).  The workload depends only
-    on the seed, so cells along every axis are paired comparisons.
-    """
-    if not mtbfs:
-        raise ValueError("no corruption MTBF values given")
-    if not rfs:
-        raise ValueError("no replication factors given")
-    if not scrubs:
-        raise ValueError("no scrub periods given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = DurabilitySweepResult(
-        mtbfs=tuple(float(m) for m in mtbfs),
-        rfs=tuple(int(r) for r in rfs),
-        scrubs=tuple(float(s) for s in scrubs),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
-    base_plan = config.fault_plan or FaultPlan()
 
-    def cell_config(mtbf: float, rf: int, scrub: float) -> SimulationConfig:
-        plan = dataclasses.replace(base_plan, corruption_mtbf_s=mtbf)
-        return config.with_(
-            fault_plan=(plan if not plan.is_null else None),
-            replication_factor=rf,
-            durability_repair=rf > 1,
-            scrub_interval_s=scrub,
-        )
+def surviving_rf(result: SweepResult, es_name: str, ds_name: str,
+                 at: Dict[str, object]) -> Optional[int]:
+    """The lowest swept replication factor that lost zero datasets on
+    every seed.  ``None`` = every swept factor lost data."""
+    return next((rf for rf, lost in result.series(
+        "datasets_lost", es_name, ds_name, at) if lost.maximum == 0), None)
 
-    specs = [
-        RunSpec(cell_config(mtbf, rf, scrub), es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for mtbf in result.mtbfs
-        for rf in result.rfs
-        for scrub in result.scrubs
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for mtbf in result.mtbfs:
-            for rf in result.rfs:
-                for scrub in result.scrubs:
-                    result.runs[
-                        (es_name, ds_name, mtbf, rf, scrub)] = metrics[
-                        index:index + len(seeds)]
-                    index += len(seeds)
-    return result
+
+def durability_report(result: SweepResult) -> str:
+    def line(es: str, ds: str, at: Dict[str, object]) -> str:
+        rf = surviving_rf(result, es, ds, at)
+        return (f"lowest surviving RF for {es} + {ds}, corruption mtbf "
+                f"{at['fault_plan.corruption_mtbf_s']:g}, "
+                f"scrub {at['scrub_interval_s']:g}: "
+                + (f"{rf}" if rf is not None else "none swept"))
+    return _report(result, "durability sweep", DURABILITY_COLUMNS,
+                   "replication_factor", line)

@@ -4,8 +4,9 @@ Three shapes cover everything the harness produces:
 
 * :func:`matrix_to_csv` — one row per (ES, DS, seed) of a
   :class:`~repro.experiments.runner.MatrixResult` (the Figure 3/4 data).
-* :func:`sweep_to_csv` — one row per (value, seed) of a
-  :class:`~repro.experiments.sweep.SweepResult` (the Figure 5 shape).
+* :func:`sweep_to_csv` — one row per (cell, seed) of any grid
+  :class:`~repro.experiments.sweep.SweepResult` (Figure 5, the
+  sensitivity studies).
 * :func:`timeseries_to_csv` — one row per sample of a
   :class:`~repro.metrics.timeseries.GridMonitor`.
 
@@ -55,17 +56,17 @@ def matrix_to_csv(result: "MatrixResult", path: PathLike) -> int:
 
 
 def sweep_to_csv(result: "SweepResult", path: PathLike) -> int:
-    """Write a parameter sweep as CSV; returns the number of data rows."""
+    """Write a grid sweep as CSV (a column per axis); returns the row count."""
     rows = 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [result.parameter, "es", "ds", "seed"] + METRIC_COLUMNS)
-        for value in result.values:
-            for seed, metrics in zip(result.seeds, result.runs[value]):
-                writer.writerow(
-                    [value, result.es_name, result.ds_name, seed]
-                    + _metric_row(metrics))
+        writer.writerow([axis.name for axis in result.axes]
+                        + ["es", "ds", "seed"] + METRIC_COLUMNS)
+        for es, ds, *values in result.keys():
+            for seed, metrics in zip(result.seeds,
+                                     result.runs[(es, ds, *values)]):
+                writer.writerow(values + [es, ds, seed]
+                                + _metric_row(metrics))
                 rows += 1
     return rows
 

@@ -185,6 +185,19 @@ class TestSensitivity:
         assert "sensitivity" in capsys.readouterr().out
 
 
+class TestRecoverySweep:
+    def test_safe_threshold_ignores_listed_order(self, capsys):
+        """phi 2 is the lowest quiet threshold even when listed last."""
+        assert main(["sensitivity", "recovery-sweep", "--users", "4",
+                     "--sites", "4", "--datasets", "8", "--n-jobs", "16",
+                     "--thresholds", "6", "2", "--mtbfs", "0",
+                     "--partition-cells", "off"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("lowest safe threshold")]
+        assert len(lines) == 2
+        assert all(line.endswith("partition off: 2") for line in lines)
+
+
 class TestOverloadKnobs:
     def test_saturated_run_prints_degradation_block(self, capsys):
         assert main(["run", *SMALL, "--arrival-rate", "0.3",

@@ -7,6 +7,8 @@ from repro.experiments.config import (
     SCENARIO_2_BANDWIDTH,
     SimulationConfig,
 )
+from repro.experiments.parallel import RunSpec
+from repro.faults.plan import FaultPlan
 
 
 class TestTable1:
@@ -106,3 +108,20 @@ class TestWith:
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
             SimulationConfig.paper().n_jobs = 5
+
+
+class TestNullFaultPlan:
+    def test_null_plan_is_no_plan(self):
+        config = SimulationConfig(fault_plan=FaultPlan.none())
+        assert config.fault_plan is None
+        assert config == SimulationConfig()
+        assert (RunSpec(config, "JobLocal", "DataRandom", 0).cache_key()
+                == RunSpec(SimulationConfig(), "JobLocal", "DataRandom",
+                           0).cache_key())
+
+    def test_nulled_plan_is_dropped(self):
+        plan = FaultPlan(site_mtbf_s=3600.0)
+        config = SimulationConfig(fault_plan=plan)
+        assert config.fault_plan == plan
+        assert config.with_(fault_plan=plan.with_(site_mtbf_s=0.0)) \
+            .fault_plan is None

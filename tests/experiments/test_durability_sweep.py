@@ -13,10 +13,14 @@ import pytest
 from repro import SimulationConfig
 from repro.experiments.sensitivity import (
     DEFAULT_CORRUPTION_MTBFS,
+    DEFAULT_PAIRS,
     DEFAULT_RFS,
     DEFAULT_SCRUBS,
-    durability_sweep,
+    durability_axes,
+    durability_report,
+    surviving_rf,
 )
+from repro.experiments.sweep import grid_sweep
 
 PAIRS = (("JobDataPresent", "DataRandom"),)
 MTBFS = (0.0, 4_000.0)
@@ -29,10 +33,21 @@ def config():
     return SimulationConfig.paper().scaled(0.05)
 
 
+def _durability(config, mtbfs=DEFAULT_CORRUPTION_MTBFS,
+                rfs=DEFAULT_RFS, scrubs=DEFAULT_SCRUBS,
+                pairs=DEFAULT_PAIRS, **kwargs):
+    return grid_sweep(config, durability_axes(mtbfs, rfs, scrubs), pairs,
+                      **kwargs)
+
+
+def _at(mtbf, scrub):
+    return {"fault_plan.corruption_mtbf_s": mtbf, "scrub_interval_s": scrub}
+
+
 @pytest.fixture(scope="module")
 def result(config):
-    return durability_sweep(config, mtbfs=MTBFS, rfs=RFS, scrubs=SCRUBS,
-                            pairs=PAIRS, seeds=(0,))
+    return _durability(config, mtbfs=MTBFS, rfs=RFS, scrubs=SCRUBS,
+                       pairs=PAIRS, seeds=(0,))
 
 
 def _dump(result):
@@ -52,13 +67,14 @@ class TestShape:
 
     def test_series_in_mtbf_order(self, result):
         es, ds = PAIRS[0]
-        series = result.series(es, ds, RFS[1], SCRUBS[0],
-                               "datasets_lost")
-        assert len(series) == len(MTBFS)
-        assert all(v >= 0 for v in series)
+        series = result.series(
+            "datasets_lost", es, ds,
+            {"replication_factor": RFS[1], "scrub_interval_s": SCRUBS[0]})
+        assert [mtbf for mtbf, _ in series] == list(MTBFS)
+        assert all(summary.mean >= 0 for _, summary in series)
 
     def test_table_lists_every_cell(self, result):
-        table = result.table()
+        table = durability_report(result)
         for word in ("mtbf", "rf", "scrub", "lost", "repaired"):
             assert word in table
         for mtbf in MTBFS:
@@ -92,36 +108,36 @@ class TestSurvivalTradeoff:
 
     def test_surviving_rf_picker(self, result):
         es, ds = PAIRS[0]
-        assert result.surviving_rf(es, ds, 0.0, SCRUBS[0]) == 1
-        assert result.surviving_rf(es, ds, MTBFS[1], SCRUBS[0]) == 2
+        assert surviving_rf(result, es, ds, _at(0.0, SCRUBS[0])) == 1
+        assert surviving_rf(result, es, ds, _at(MTBFS[1], SCRUBS[0])) == 2
 
 
 class TestDeterminism:
     def test_parallel_equals_serial(self, config):
-        serial = durability_sweep(config, mtbfs=MTBFS, rfs=RFS,
-                                  scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
-                                  jobs=1)
-        pooled = durability_sweep(config, mtbfs=MTBFS, rfs=RFS,
-                                  scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
-                                  jobs=2)
+        serial = _durability(config, mtbfs=MTBFS, rfs=RFS,
+                             scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
+                             jobs=1)
+        pooled = _durability(config, mtbfs=MTBFS, rfs=RFS,
+                             scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
+                             jobs=2)
         assert _dump(pooled) == _dump(serial)
 
     def test_cache_replay_identical(self, config, tmp_path):
         cache_dir = tmp_path / "cache"
-        cold = durability_sweep(config, mtbfs=MTBFS, rfs=RFS,
-                                scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
-                                cache_dir=cache_dir)
-        warm = durability_sweep(config, mtbfs=MTBFS, rfs=RFS,
-                                scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
-                                cache_dir=cache_dir)
+        cold = _durability(config, mtbfs=MTBFS, rfs=RFS,
+                           scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
+                           cache_dir=cache_dir)
+        warm = _durability(config, mtbfs=MTBFS, rfs=RFS,
+                           scrubs=SCRUBS, pairs=PAIRS, seeds=(0,),
+                           cache_dir=cache_dir)
         assert _dump(warm) == _dump(cold)
 
 
 class TestValidation:
     def test_empty_axes_rejected(self, config):
         with pytest.raises(ValueError):
-            durability_sweep(config, mtbfs=(), rfs=RFS, scrubs=SCRUBS)
+            _durability(config, mtbfs=(), rfs=RFS, scrubs=SCRUBS)
         with pytest.raises(ValueError):
-            durability_sweep(config, mtbfs=MTBFS, rfs=(), scrubs=SCRUBS)
+            _durability(config, mtbfs=MTBFS, rfs=(), scrubs=SCRUBS)
         with pytest.raises(ValueError):
-            durability_sweep(config, mtbfs=MTBFS, rfs=RFS, scrubs=())
+            _durability(config, mtbfs=MTBFS, rfs=RFS, scrubs=())

@@ -13,10 +13,13 @@ import pytest
 from repro import SimulationConfig
 from repro.experiments.sensitivity import (
     DEFAULT_CAPACITIES,
+    DEFAULT_PAIRS,
     DEFAULT_RATES,
-    OverloadSweepResult,
-    overload_sweep,
+    knee,
+    overload_axes,
+    overload_report,
 )
+from repro.experiments.sweep import grid_sweep
 
 PAIRS = (("JobDataPresent", "DataRandom"),)
 # ~0.023 jobs/s is this configuration's service rate: 0.005 is
@@ -35,10 +38,17 @@ def config():
     )
 
 
+def _overload(config, rates=DEFAULT_RATES,
+              capacities=DEFAULT_CAPACITIES, pairs=DEFAULT_PAIRS,
+              **kwargs):
+    return grid_sweep(config, overload_axes(rates, capacities), pairs,
+                      **kwargs)
+
+
 @pytest.fixture(scope="module")
 def result(config):
-    return overload_sweep(config, rates=RATES, capacities=CAPACITIES,
-                          pairs=PAIRS, seeds=(0,))
+    return _overload(config, rates=RATES, capacities=CAPACITIES,
+                     pairs=PAIRS, seeds=(0,))
 
 
 def _dump(result):
@@ -51,19 +61,19 @@ def _dump(result):
 class TestShape:
     def test_every_cell_populated(self, result):
         assert set(result.runs) == {
-            (es, ds, rate, cap)
+            (es, ds, cap, rate)
             for es, ds in PAIRS for rate in RATES for cap in CAPACITIES}
         assert all(len(runs) == 1 for runs in result.runs.values())
 
     def test_series_in_rate_order(self, result):
         es, ds = PAIRS[0]
-        series = result.series(es, ds, CAPACITIES[0],
-                               "avg_response_time_s")
-        assert len(series) == len(RATES)
-        assert all(v > 0 for v in series)
+        series = result.series("avg_response_time_s", es, ds,
+                               {"queue_capacity": CAPACITIES[0]})
+        assert [rate for rate, _ in series] == list(RATES)
+        assert all(summary.mean > 0 for _, summary in series)
 
     def test_table_lists_every_cell_and_the_knee(self, result):
-        table = result.table()
+        table = overload_report(result)
         assert "shed" in table and "deflected" in table
         assert "knee" in table
         for rate in RATES:
@@ -73,7 +83,7 @@ class TestShape:
 class TestGracefulDegradation:
     def test_subcritical_rate_refuses_nothing(self, result):
         es, ds = PAIRS[0]
-        run = result.runs[(es, ds, RATES[0], CAPACITIES[0])][0]
+        run = result.runs[(es, ds, CAPACITIES[0], RATES[0])][0]
         assert run.jobs_shed == 0
         assert run.jobs_expired == 0
         assert run.completion_rate == 1.0
@@ -82,7 +92,7 @@ class TestGracefulDegradation:
         """The acceptance scenario: past the knee the grid sheds and
         expires instead of collapsing, and every refusal is counted."""
         es, ds = PAIRS[0]
-        run = result.runs[(es, ds, RATES[-1], CAPACITIES[0])][0]
+        run = result.runs[(es, ds, CAPACITIES[0], RATES[-1])][0]
         assert run.jobs_shed + run.jobs_expired > 0
         assert (run.n_jobs + run.jobs_failed + run.jobs_shed
                 + run.jobs_expired) == 300
@@ -91,9 +101,9 @@ class TestGracefulDegradation:
 
     def test_response_time_rises_with_offered_load(self, result):
         es, ds = PAIRS[0]
-        series = result.series(es, ds, CAPACITIES[0],
-                               "avg_response_time_s")
-        assert series[-1] >= series[0]
+        series = result.series("avg_response_time_s", es, ds,
+                               {"queue_capacity": CAPACITIES[0]})
+        assert series[-1][1].mean >= series[0][1].mean
 
     def test_knee_is_found_at_the_saturating_rate(self, result):
         # With queues capped at 4 the response of *admitted* jobs stays
@@ -101,46 +111,47 @@ class TestGracefulDegradation:
         # that bounding is the mechanism under test, so the knee is
         # probed at 1.5x rather than the default 2x.
         es, ds = PAIRS[0]
-        knee = result.knee(es, ds, CAPACITIES[0], factor=1.5)
-        assert knee == RATES[-1]
+        at = {"queue_capacity": CAPACITIES[0]}
+        assert knee(result, es, ds, at, factor=1.5) == RATES[-1]
 
     def test_knee_none_when_factor_unreachable(self, result):
         es, ds = PAIRS[0]
-        assert result.knee(es, ds, CAPACITIES[0], factor=1e9) is None
+        assert knee(result, es, ds, {"queue_capacity": CAPACITIES[0]},
+                    factor=1e9) is None
 
 
 class TestDeterminism:
     def test_parallel_equals_serial(self, config):
-        serial = overload_sweep(config, rates=RATES,
-                                capacities=CAPACITIES, pairs=PAIRS,
-                                seeds=(0,), jobs=1)
-        parallel = overload_sweep(config, rates=RATES,
-                                  capacities=CAPACITIES, pairs=PAIRS,
-                                  seeds=(0,), jobs=2)
+        serial = _overload(config, rates=RATES,
+                           capacities=CAPACITIES, pairs=PAIRS,
+                           seeds=(0,), jobs=1)
+        parallel = _overload(config, rates=RATES,
+                             capacities=CAPACITIES, pairs=PAIRS,
+                             seeds=(0,), jobs=2)
         assert _dump(parallel) == _dump(serial)
 
     def test_cache_replay_identical(self, config, tmp_path):
-        first = overload_sweep(config, rates=RATES,
-                               capacities=CAPACITIES, pairs=PAIRS,
-                               seeds=(0,), cache_dir=tmp_path)
-        replay = overload_sweep(config, rates=RATES,
-                                capacities=CAPACITIES, pairs=PAIRS,
-                                seeds=(0,), cache_dir=tmp_path)
+        first = _overload(config, rates=RATES,
+                          capacities=CAPACITIES, pairs=PAIRS,
+                          seeds=(0,), cache_dir=tmp_path)
+        replay = _overload(config, rates=RATES,
+                           capacities=CAPACITIES, pairs=PAIRS,
+                           seeds=(0,), cache_dir=tmp_path)
         assert _dump(replay) == _dump(first)
 
 
 class TestValidation:
     def test_no_rates_rejected(self, config):
         with pytest.raises(ValueError):
-            overload_sweep(config, rates=())
+            _overload(config, rates=())
 
     def test_no_capacities_rejected(self, config):
         with pytest.raises(ValueError):
-            overload_sweep(config, capacities=())
+            _overload(config, capacities=())
 
     def test_no_pairs_rejected(self, config):
         with pytest.raises(ValueError):
-            overload_sweep(config, pairs=())
+            _overload(config, pairs=())
 
     def test_defaults_span_sub_and_super_critical(self):
         assert min(DEFAULT_RATES) < max(DEFAULT_RATES)

@@ -52,13 +52,7 @@ class TestDeterminism:
                       seeds=SEEDS)
         serial = sweep(config, jobs=1, **kwargs)
         parallel = sweep(config, jobs=4, **kwargs)
-        assert {
-            v: [dataclasses.asdict(m) for m in parallel.runs[v]]
-            for v in parallel.values
-        } == {
-            v: [dataclasses.asdict(m) for m in serial.runs[v]]
-            for v in serial.values
-        }
+        assert _matrix_dump(parallel) == _matrix_dump(serial)
 
     def test_spawn_context_supported(self, config):
         """The worker path survives spawn (fresh interpreter, Windows)."""

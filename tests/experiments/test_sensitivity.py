@@ -7,9 +7,11 @@ import pytest
 from repro import SimulationConfig
 from repro.experiments.sensitivity import (
     DEFAULT_PAIRS,
-    SensitivityResult,
-    staleness_sensitivity,
+    degradation,
+    staleness_axes,
+    staleness_report,
 )
+from repro.experiments.sweep import grid_sweep
 
 PAIRS = (("JobDataPresent", "DataLeastLoaded"),)
 DELAYS = (0.0, 600.0)
@@ -23,10 +25,13 @@ def config():
         storage_capacity_mb=14_000.0, watchdog=True)
 
 
+def _staleness(config, delays, pairs=PAIRS, **kwargs):
+    return grid_sweep(config, staleness_axes(delays), pairs, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def result(config):
-    return staleness_sensitivity(
-        config, delays=DELAYS, pairs=PAIRS, seeds=(0,))
+    return _staleness(config, delays=DELAYS, pairs=PAIRS, seeds=(0,))
 
 
 def _dump(result):
@@ -44,19 +49,19 @@ class TestShape:
 
     def test_series_in_delay_order(self, result):
         es, ds = PAIRS[0]
-        series = result.series(es, ds, "avg_response_time_s")
-        assert len(series) == len(DELAYS)
-        assert all(v > 0 for v in series)
+        series = result.series("avg_response_time_s", es, ds)
+        assert [delay for delay, _ in series] == list(DELAYS)
+        assert all(summary.mean > 0 for _, summary in series)
 
     def test_table_lists_every_cell(self, result):
-        table = result.table()
+        table = staleness_report(result)
         assert "misdirected" in table
         for delay in DELAYS:
             assert f"{delay:g}" in table
 
     def test_degradation_is_a_ratio(self, result):
         es, ds = PAIRS[0]
-        assert result.degradation(es, ds) >= 1.0
+        assert degradation(result, es, ds) >= 1.0
 
 
 class TestStalenessEffects:
@@ -78,17 +83,17 @@ class TestStalenessEffects:
 
 class TestDeterminism:
     def test_parallel_equals_serial(self, config):
-        serial = staleness_sensitivity(
+        serial = _staleness(
             config, delays=DELAYS, pairs=PAIRS, seeds=(0,), jobs=1)
-        parallel = staleness_sensitivity(
+        parallel = _staleness(
             config, delays=DELAYS, pairs=PAIRS, seeds=(0,), jobs=2)
         assert _dump(parallel) == _dump(serial)
 
     def test_cache_replay_identical(self, config, tmp_path):
-        first = staleness_sensitivity(
+        first = _staleness(
             config, delays=DELAYS, pairs=PAIRS, seeds=(0,),
             cache_dir=tmp_path)
-        replay = staleness_sensitivity(
+        replay = _staleness(
             config, delays=DELAYS, pairs=PAIRS, seeds=(0,),
             cache_dir=tmp_path)
         assert _dump(replay) == _dump(first)
@@ -97,11 +102,11 @@ class TestDeterminism:
 class TestValidation:
     def test_no_delays_rejected(self, config):
         with pytest.raises(ValueError):
-            staleness_sensitivity(config, delays=())
+            _staleness(config, delays=())
 
     def test_no_pairs_rejected(self, config):
         with pytest.raises(ValueError):
-            staleness_sensitivity(config, pairs=())
+            _staleness(config, delays=DELAYS, pairs=())
 
     def test_default_pairs_cover_decoupled_and_coupled(self):
         schedulers = {es for es, _ in DEFAULT_PAIRS}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SimulationConfig
-from repro.experiments.sweep import sweep
+from repro.experiments.sweep import best_value, sweep
 
 
 @pytest.fixture(scope="module")
@@ -23,23 +23,27 @@ class TestSweep:
             sweep(config, "warp_factor", (1,))
 
     def test_covers_every_value_and_seed(self, bandwidth_sweep):
-        assert bandwidth_sweep.values == (5.0, 10.0, 100.0)
-        for value in bandwidth_sweep.values:
-            assert len(bandwidth_sweep.runs[value]) == 2
+        (axis,) = bandwidth_sweep.axes
+        assert axis.values == (5.0, 10.0, 100.0)
+        for value in axis.values:
+            assert len(bandwidth_sweep.runs[
+                ("JobLocal", "DataDoNothing", value)]) == 2
 
     def test_series_ordering(self, bandwidth_sweep):
-        series = bandwidth_sweep.series("avg_response_time_s")
+        series = [summary.mean for _, summary in bandwidth_sweep.series(
+            "avg_response_time_s", "JobLocal", "DataDoNothing")]
         assert len(series) == 3
         # More bandwidth never slows a transfer-bound configuration.
         assert series[0] >= series[1] >= series[2]
 
     def test_best_value(self, bandwidth_sweep):
-        assert bandwidth_sweep.best_value("avg_response_time_s") == 100.0
-        assert bandwidth_sweep.best_value(
-            "avg_response_time_s", minimize=False) == 5.0
+        assert best_value(bandwidth_sweep, "avg_response_time_s") == 100.0
+        assert best_value(bandwidth_sweep, "avg_response_time_s",
+                          minimize=False) == 5.0
 
     def test_summary_per_value(self, bandwidth_sweep):
-        summary = bandwidth_sweep.summary(10.0, "avg_response_time_s")
+        summary = bandwidth_sweep.summary(
+            ("JobLocal", "DataDoNothing", 10.0), "avg_response_time_s")
         assert summary.n == 2
         assert summary.mean > 0
 
@@ -56,6 +60,6 @@ class TestSweep:
         result = sweep(config, "bandwidth_mbps", (10.0, 100.0),
                        es_name="JobLocal", ds_name="DataDoNothing",
                        seeds=(0,))
-        a = result.runs[10.0][0]
-        b = result.runs[100.0][0]
+        a = result.runs[("JobLocal", "DataDoNothing", 10.0)][0]
+        b = result.runs[("JobLocal", "DataDoNothing", 100.0)][0]
         assert a.avg_compute_time_s == pytest.approx(b.avg_compute_time_s)
