@@ -12,12 +12,14 @@ Everything the library can do, driveable from a shell::
 out over worker processes; results are identical at any worker count.
 
 All commands accept the configuration overrides listed under
-``python -m repro run --help``; defaults are the paper's Table 1.
+``python -m repro run --help``; defaults are the paper's Table 1.  Most
+are generated from the ``knob(...)`` fields of ``SimulationConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -30,54 +32,55 @@ from repro.experiments.paper import (
 )
 from repro.experiments.runner import make_workload, run_matrix, run_single
 from repro.metrics.report import format_matrix, format_run
-from repro.scheduling.registry import ALL_DS, ALL_ES, ALL_LS
+from repro.scheduling.registry import ALL_DS, ALL_ES
 from repro.workload.traces import save_workload
 
 
+#: Titles of the knob groups that follow the fault-injection group in
+#: ``--help``, keyed by the ``group`` a knob's field metadata names.
+_KNOB_GROUPS = {
+    "overload": "overload protection (default: all off — unbounded queues, "
+                "no deadlines, no reservations; the paper's model)",
+    "dag": "DAG workloads (default: none — the paper's independent jobs)",
+    "health": "failure detection (default: all off — no heartbeats, no "
+              "breakers, no speculation; the paper's oracle model)",
+    "durability": "data durability (default: all off — no checksums, no "
+                  "scrubbing, single unrepaired primaries; the paper's "
+                  "model)",
+}
+
+
+def _knobs() -> List[dataclasses.Field]:
+    """The SimulationConfig fields with a CLI flag, in field order."""
+    return [f for f in dataclasses.fields(SimulationConfig)
+            if "flag" in f.metadata]
+
+
+def _add_knob_arguments(group: argparse._ArgumentGroup, name: str) -> None:
+    """Add the flag of every knob in group ``name``; bools take on/off."""
+    for f in _knobs():
+        meta = f.metadata
+        if meta["group"] != name:
+            continue
+        if isinstance(f.default, bool):
+            kwargs = {"choices": ("on", "off")}
+        else:
+            kwargs = {"type": type(f.default), "choices": meta["choices"],
+                      "metavar": meta["metavar"]}
+        group.add_argument(meta["flag"], default=None, help=meta["help"],
+                           **kwargs)
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group(
+    config = parser.add_argument_group(
         "configuration overrides (defaults = paper Table 1)")
-    group.add_argument("--scale", type=float, default=1.0,
-                       help="scale users/sites/datasets/jobs together "
-                            "(default 1.0 = paper scale)")
-    group.add_argument("--bandwidth", type=float, default=None,
-                       metavar="MBPS", help="link bandwidth in MB/s")
-    group.add_argument("--n-jobs", type=int, default=None,
-                       help="total number of jobs in the workload")
-    group.add_argument("--sites", type=int, default=None,
-                       help="number of sites")
-    group.add_argument("--users", type=int, default=None,
-                       help="number of users")
-    group.add_argument("--datasets", type=int, default=None,
-                       help="number of datasets")
-    group.add_argument("--storage-gb", type=float, default=None,
-                       help="per-site storage in GB")
-    group.add_argument("--topology", default=None,
-                       choices=["hierarchical", "star", "ring", "random"])
-    group.add_argument("--geometric-p", type=float, default=None,
-                       help="geometric popularity skew")
-    group.add_argument("--popularity", default=None,
-                       choices=["geometric", "zipf", "uniform"])
-    group.add_argument("--inputs-per-job", type=int, default=None)
-    group.add_argument("--output-fraction", type=float, default=None,
-                       help="output size as a fraction of input size")
-    group.add_argument("--info-refresh", type=float, default=None,
-                       metavar="SECONDS",
-                       help="information-service staleness (0 = live)")
-    group.add_argument("--catalog-delay", type=float, default=None,
-                       metavar="SECONDS",
-                       help="replica-catalog propagation delay "
-                            "(0 = live catalog)")
-    group.add_argument("--info-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="serve last-known loads for stale-marked "
-                            "sites up to this long (0 = off)")
-    group.add_argument("--watchdog", default=None, choices=["on", "off"],
-                       help="runtime invariant watchdog (read-only "
-                            "checks; default off)")
-    group.add_argument("--allocator", default=None,
-                       choices=["equal-share", "max-min"])
-    group.add_argument("--seed", type=int, default=0)
+    config.add_argument("--scale", type=float, default=1.0,
+                        help="scale users/sites/datasets/jobs together "
+                             "(default 1.0 = paper scale)")
+    config.add_argument("--storage-gb", type=float, default=None,
+                        help="per-site storage in GB")
+    _add_knob_arguments(config, "config")
+    config.add_argument("--seed", type=int, default=0)
     faults = parser.add_argument_group(
         "fault injection (default: no faults; any of these enables the "
         "repro.faults layer — runs stay seed-reproducible)")
@@ -131,103 +134,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     faults.add_argument("--corruption-sites", default=None, metavar="SITES",
                         help="comma-separated sites subject to bit-rot "
                              "(default: all sites)")
-    overload = parser.add_argument_group(
-        "overload protection (default: all off — unbounded queues, no "
-        "deadlines, no reservations; the paper's model)")
-    overload.add_argument("--queue-capacity", type=int, default=None,
-                          metavar="JOBS",
-                          help="per-site waiting-job bound (0 = unbounded); "
-                               "dispatches onto a full queue deflect, then "
-                               "shed")
-    overload.add_argument("--deflect-budget", type=int, default=None,
-                          metavar="N",
-                          help="deflections tolerated per dispatch before "
-                               "a job is shed (default 1)")
-    overload.add_argument("--job-deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="queue-wait deadline per job (0 = none); "
-                               "expired jobs leave the queue counted, "
-                               "never run")
-    overload.add_argument("--aging-factor", type=float, default=None,
-                          metavar="RATE",
-                          help="priority-aging rate for queue-reordering "
-                               "local schedulers (0 = off)")
-    overload.add_argument("--degraded-es", default=None, metavar="ES",
-                          help="External Scheduler used for deflection "
-                               "targets (default: least-loaded scan)")
-    overload.add_argument("--storage-reservations", default=None,
-                          choices=["on", "off"],
-                          help="route transfers through the storage "
-                               "reservation ledger (no overcommit)")
-    overload.add_argument("--arrival-rate", type=float, default=None,
-                          metavar="JOBS_PER_S",
-                          help="open-loop Poisson arrival rate replacing "
-                               "the closed-loop users (0 = closed loop)")
-    dag = parser.add_argument_group(
-        "DAG workloads (default: none — the paper's independent jobs)")
-    dag.add_argument("--dag-shape", default=None,
-                     choices=["none", "chain", "diamond", "fanout",
-                              "mapreduce"],
-                     help="wire each user's jobs into dependency motifs; "
-                          "jobs are released as their parents complete")
-    dag.add_argument("--dag-width", type=int, default=None, metavar="N",
-                     help="fan-out / map count for shapes that have one "
-                          "(default 3)")
-    dag.add_argument("--bulk", default=None, choices=["on", "off"],
-                     help="place each released batch group-at-a-time by "
-                          "input-set signature (needs a DAG shape)")
-    health = parser.add_argument_group(
-        "failure detection (default: all off — no heartbeats, no "
-        "breakers, no speculation; the paper's oracle model)")
-    health.add_argument("--heartbeat", type=float, default=None,
-                        metavar="SECONDS",
-                        help="heartbeat interval; > 0 installs the "
-                             "observed failure detector (0 = off)")
-    health.add_argument("--heartbeat-jitter", type=float, default=None,
-                        metavar="FRACTION",
-                        help="uniform jitter fraction on heartbeat "
-                             "spacing, in [0, 1)")
-    health.add_argument("--phi-threshold", type=float, default=None,
-                        metavar="PHI",
-                        help="suspect a site when the silence exceeds "
-                             "this multiple of its mean heartbeat "
-                             "spacing (default 3)")
-    health.add_argument("--probe-interval", type=float, default=None,
-                        metavar="SECONDS",
-                        help="base delay between recovery probes of a "
-                             "tripped site (default 30)")
-    health.add_argument("--observed-only", default=None,
-                        choices=["on", "off"],
-                        help="cut the oracle channel: schedulers learn "
-                             "of failures only through heartbeats and "
-                             "dispatch errors")
-    health.add_argument("--speculate-quantile", type=float, default=None,
-                        metavar="Q",
-                        help="straggler quantile in [0, 1); > 0 enables "
-                             "speculative backup execution (0 = off)")
-    health.add_argument("--speculate-multiplier", type=float, default=None,
-                        metavar="X",
-                        help="a job is a straggler once it runs this "
-                             "multiple of the quantile duration "
-                             "(default 2)")
-    durability = parser.add_argument_group(
-        "data durability (default: all off — no checksums, no scrubbing, "
-        "single unrepaired primaries; the paper's model)")
-    durability.add_argument("--replication-factor", type=int, default=None,
-                            metavar="N",
-                            help="target live replicas per dataset "
-                                 "(> 1 needs --repair on; default 1)")
-    durability.add_argument("--repair", default=None, choices=["on", "off"],
-                            help="re-replicate datasets that fall below "
-                                 "the target factor")
-    durability.add_argument("--scrub-interval", type=float, default=None,
-                            metavar="SECONDS",
-                            help="background checksum-scrubber period "
-                                 "(0 = detect on access only)")
-    durability.add_argument("--repair-placement", default=None,
-                            choices=["closest", "forecast"],
-                            help="repair source/destination policy "
-                                 "(default closest)")
+    for name, title in _KNOB_GROUPS.items():
+        _add_knob_arguments(parser.add_argument_group(title), name)
 
 
 def _parse_window_spec(spec: str, flag: str):
@@ -337,58 +245,15 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
     if fault_plan is not None:
         config = config.with_(fault_plan=fault_plan)
     overrides = {}
-    mapping = {
-        "bandwidth": "bandwidth_mbps",
-        "n_jobs": "n_jobs",
-        "sites": "n_sites",
-        "users": "n_users",
-        "datasets": "n_datasets",
-        "topology": "topology",
-        "geometric_p": "geometric_p",
-        "popularity": "popularity_model",
-        "inputs_per_job": "inputs_per_job",
-        "output_fraction": "output_fraction",
-        "info_refresh": "info_refresh_interval_s",
-        "catalog_delay": "catalog_delay_s",
-        "info_timeout": "info_timeout_s",
-        "allocator": "allocator",
-        "queue_capacity": "queue_capacity",
-        "deflect_budget": "deflect_budget",
-        "job_deadline": "job_deadline_s",
-        "aging_factor": "aging_factor",
-        "degraded_es": "degraded_es",
-        "arrival_rate": "arrival_rate_per_s",
-        "dag_shape": "dag_shape",
-        "dag_width": "dag_width",
-        "heartbeat": "health_heartbeat_s",
-        "heartbeat_jitter": "health_heartbeat_jitter",
-        "phi_threshold": "health_phi_threshold",
-        "probe_interval": "health_probe_interval_s",
-        "speculate_quantile": "speculate_quantile",
-        "speculate_multiplier": "speculate_multiplier",
-        "replication_factor": "replication_factor",
-        "scrub_interval": "scrub_interval_s",
-        "repair_placement": "repair_placement",
-    }
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name)
+    for f in _knobs():
+        # argparse stores --long-flag as args.long_flag.
+        value = getattr(args, f.metadata["flag"][2:].replace("-", "_"))
         if value is not None:
-            overrides[field] = value
-    if args.watchdog is not None:
-        overrides["watchdog"] = args.watchdog == "on"
-    if args.observed_only is not None:
-        overrides["health_observed_only"] = args.observed_only == "on"
-    if args.storage_reservations is not None:
-        overrides["storage_reservations"] = args.storage_reservations == "on"
-    if args.repair is not None:
-        overrides["durability_repair"] = args.repair == "on"
-    if args.bulk is not None:
-        overrides["bulk_submission"] = args.bulk == "on"
+            overrides[f.name] = (value == "on" if isinstance(f.default, bool)
+                                 else value)
     if args.storage_gb is not None:
         overrides["storage_capacity_mb"] = args.storage_gb * 1000.0
-    if overrides:
-        config = config.with_(**overrides)
-    return config
+    return config.with_(**overrides)
 
 
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:

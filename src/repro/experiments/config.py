@@ -16,20 +16,52 @@ plus the §5.1 workload constants (dataset sizes uniform 500 MB–2 GB,
 runtime 300 s/GB, single input file, geometric popularity).  Parameters the
 paper leaves unstated (storage capacity, replication threshold/period,
 geometric ``p``, topology branching) are explicit fields with documented
-defaults, so every assumption is visible and sweepable.
+defaults, so every assumption is visible and sweepable.  A :func:`knob`
+field is also a CLI flag; layer knobs are checked by the layer's policy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.faults.plan import FaultPlan
+from repro.grid.durability import PLACEMENTS, DurabilityPolicy
+from repro.grid.health import HealthPolicy
+from repro.grid.overload import OverloadPolicy
+from repro.grid.staleness import InfoPolicy
+from repro.scheduling.registry import ALL_LS, ES_NAMES
+from repro.workload.dag import DAG_SHAPES
+from repro.workload.popularity import POPULARITY_MODELS
 
 #: Table 1 bandwidth scenarios, MB/s.
 SCENARIO_1_BANDWIDTH = 10.0
 SCENARIO_2_BANDWIDTH = 100.0
+
+#: Topology families (paper: hierarchical).
+TOPOLOGIES = ("hierarchical", "star", "ring", "random")
+#: Transfer rate allocators (paper: equal-share).
+ALLOCATORS = ("equal-share", "max-min")
+
+
+def knob(default: Any, flag: str, help: Optional[str] = None, *,
+         group: str = "config", metavar: Optional[str] = None,
+         choices: Optional[Sequence[str]] = None) -> Any:
+    """A field the CLI exposes as ``flag`` in its ``group`` of options.
+
+    A bool flag takes ``on``/``off``; any other parses as the type of
+    ``default``.  ``choices`` is also the set the config accepts.
+    """
+    return dataclasses.field(default=default, metadata={
+        "flag": flag, "help": help, "group": group, "metavar": metavar,
+        "choices": choices})
+
+
+def _one_of(what: str, value: str, names: Sequence[str]) -> None:
+    if value not in names:
+        raise ValueError(
+            f"unknown {what} {value!r}; expected one of {tuple(names)}")
 
 
 @dataclass(frozen=True)
@@ -37,35 +69,40 @@ class SimulationConfig:
     """All knobs for one simulated Data Grid execution."""
 
     # ---- Table 1 ----------------------------------------------------------
-    n_users: int = 120
-    n_sites: int = 30
+    n_users: int = knob(120, "--users", "number of users")
+    n_sites: int = knob(30, "--sites", "number of sites")
     min_processors_per_site: int = 2
     max_processors_per_site: int = 5
-    n_datasets: int = 200
-    bandwidth_mbps: float = SCENARIO_1_BANDWIDTH
-    n_jobs: int = 6000
+    n_datasets: int = knob(200, "--datasets", "number of datasets")
+    bandwidth_mbps: float = knob(SCENARIO_1_BANDWIDTH, "--bandwidth",
+                                 "link bandwidth in MB/s", metavar="MBPS")
+    n_jobs: int = knob(6000, "--n-jobs",
+                       "total number of jobs in the workload")
 
     # ---- §5.1 workload constants ------------------------------------------
     min_dataset_mb: float = 500.0
     max_dataset_mb: float = 2000.0
     compute_seconds_per_gb: float = 300.0
-    inputs_per_job: int = 1
-    #: Output size as a fraction of input size (paper: 0 — "we ignore
-    #: output costs"; positive values enable the output-storage extension).
-    output_fraction: float = 0.0
-    popularity_model: str = "geometric"
-    #: Geometric skew.  Unpublished in the paper; 0.05 (hottest dataset gets
-    #: ~5% of all requests) reproduces the published orderings, notably the
-    #: hotspot overload that makes JobDataPresent worst without replication.
-    geometric_p: float = 0.05
+    inputs_per_job: int = knob(1, "--inputs-per-job")
+    #: Paper: 0 — "we ignore output costs"; positive values enable the
+    #: output-storage extension.
+    output_fraction: float = knob(
+        0.0, "--output-fraction", "output size as a fraction of input size")
+    popularity_model: str = knob("geometric", "--popularity",
+                                 choices=POPULARITY_MODELS)
+    #: Unpublished in the paper; 0.05 (hottest dataset gets ~5% of all
+    #: requests) reproduces the published orderings, notably the hotspot
+    #: overload that makes JobDataPresent worst without replication.
+    geometric_p: float = knob(0.05, "--geometric-p",
+                              "geometric popularity skew")
     zipf_alpha: float = 1.0
 
     # ---- Unstated-in-paper modelling knobs ---------------------------------
-    #: Per-site storage (MB).  50 GB holds ~40 average datasets — finite, so
-    #: LRU matters, but large enough that replication is useful.
+    #: Per-site storage (MB; the CLI's ``--storage-gb``).  50 GB holds ~40
+    #: average datasets — finite, so LRU matters, but large enough that
+    #: replication is useful.
     storage_capacity_mb: float = 50_000.0
-    #: Topology family: "hierarchical" (paper), "star", "ring", "random".
-    topology: str = "hierarchical"
+    topology: str = knob("hierarchical", "--topology", choices=TOPOLOGIES)
     #: Leaf sites per regional center in the hierarchical topology.
     branching: int = 6
     #: Dataset Scheduler popularity threshold (accesses since last check).
@@ -81,31 +118,31 @@ class SimulationConfig:
     #: load-aware variant of DataRandom — which is what reproduces the
     #: paper's "no significant difference between the two" finding.
     neighbor_hops: int = 4
-    #: Local scheduler name (paper: FIFO).
+    #: Local scheduler name (paper: FIFO; see ``ALL_LS``).
     local_scheduler: str = "FIFO"
-    #: Information-service staleness.  The paper's schedulers consult
-    #: MDS/NWS-style services, which serve *cached* values; 300 s of lag
-    #: (typical MDS cache TTL of the era) reproduces the mild herding that
-    #: keeps JobLeastLoaded from beating JobLocal without replication.
-    #: Set to 0 for a perfectly live oracle.
-    info_refresh_interval_s: float = 300.0
-    #: Replica-catalog propagation delay (s).  0 = schedulers see the
-    #: live catalog (the paper's perfect oracle); > 0 routes their
-    #: replica queries through a bounded-staleness view that sees
-    #: registrations/evictions this many seconds late, enabling
-    #: misdirected-job detection and bounce recovery.
-    catalog_delay_s: float = 0.0
-    #: Info-query timeout fallback (s).  0 = off; > 0 lets a site marked
-    #: stale serve its last-known load for up to this long before the
-    #: service falls through to a fresh read.
-    info_timeout_s: float = 0.0
-    #: Runtime invariant watchdog (:mod:`repro.watchdog`).  Off by
-    #: default; the checks are read-only, so enabling it never changes a
+    #: The paper's schedulers consult MDS/NWS-style services, which serve
+    #: *cached* values; 300 s of lag (typical MDS cache TTL of the era)
+    #: reproduces the mild herding that keeps JobLeastLoaded from beating
+    #: JobLocal without replication.
+    info_refresh_interval_s: float = knob(
+        300.0, "--info-refresh", "information-service staleness (0 = live)",
+        metavar="SECONDS")
+    #: > 0 routes scheduler replica queries through a bounded-staleness
+    #: view, enabling misdirected-job detection and bounce recovery.
+    catalog_delay_s: float = knob(
+        0.0, "--catalog-delay",
+        "replica-catalog propagation delay (0 = live catalog)",
+        metavar="SECONDS")
+    info_timeout_s: float = knob(
+        0.0, "--info-timeout", "serve last-known loads for stale-marked "
+        "sites up to this long (0 = off)", metavar="SECONDS")
+    #: The checks are read-only, so enabling the watchdog never changes a
     #: run's results — it only turns silent conservation bugs into
     #: immediate structured failures.
-    watchdog: bool = False
-    #: Transfer rate allocator: "equal-share" (paper) or "max-min".
-    allocator: str = "equal-share"
+    watchdog: bool = knob(
+        False, "--watchdog",
+        "runtime invariant watchdog (read-only checks; default off)")
+    allocator: str = knob("equal-share", "--allocator", choices=ALLOCATORS)
 
     # ---- Fault injection ------------------------------------------------------
     #: Optional fault plan.  ``None`` (a null plan is stored as ``None``)
@@ -117,81 +154,97 @@ class SimulationConfig:
     fault_plan: Optional[FaultPlan] = None
 
     # ---- Overload protection ---------------------------------------------------
-    #: Per-site waiting-job capacity (0 = unbounded queues, the paper's
-    #: model).  A dispatch onto a full queue is deflected, then shed.
-    queue_capacity: int = 0
-    #: Deflections tolerated per dispatch before a job is shed.
-    deflect_budget: int = 1
-    #: Queue-wait deadline per job in seconds (0 = none).
-    job_deadline_s: float = 0.0
-    #: Priority-aging rate for queue-reordering local schedulers (0 = off).
-    aging_factor: float = 0.0
-    #: Degraded-mode External Scheduler name ("" = least-loaded scan).
-    degraded_es: str = ""
-    #: Route data-mover transfers through the storage reservation ledger.
-    storage_reservations: bool = False
-    #: Open-loop Poisson arrival rate, jobs/s (0 = the paper's
-    #: closed-loop users).  > 0 replaces sequential per-user submission
-    #: with one grid-wide arrival stream at this rate — the offered-load
-    #: axis of the overload sweep.
-    arrival_rate_per_s: float = 0.0
+    queue_capacity: int = knob(
+        0, "--queue-capacity", "per-site waiting-job bound (0 = unbounded); "
+        "dispatches onto a full queue deflect, then shed",
+        group="overload", metavar="JOBS")
+    deflect_budget: int = knob(
+        1, "--deflect-budget", "deflections tolerated per dispatch before a "
+        "job is shed (default 1)", group="overload", metavar="N")
+    job_deadline_s: float = knob(
+        0.0, "--job-deadline", "queue-wait deadline per job (0 = none); "
+        "expired jobs leave the queue counted, never run",
+        group="overload", metavar="SECONDS")
+    aging_factor: float = knob(
+        0.0, "--aging-factor", "priority-aging rate for queue-reordering "
+        "local schedulers (0 = off)", group="overload", metavar="RATE")
+    degraded_es: str = knob(
+        "", "--degraded-es", "External Scheduler used for deflection "
+        "targets (default: least-loaded scan)",
+        group="overload", metavar="ES")
+    storage_reservations: bool = knob(
+        False, "--storage-reservations", "route transfers through the "
+        "storage reservation ledger (no overcommit)", group="overload")
+    arrival_rate_per_s: float = knob(
+        0.0, "--arrival-rate", "open-loop Poisson arrival rate replacing "
+        "the closed-loop users (0 = closed loop)",
+        group="overload", metavar="JOBS_PER_S")
 
     # ---- Observed failure detection (health layer) -----------------------------
-    #: Heartbeat interval for the failure detector (0 = health layer off
-    #: unless speculation is armed).  Sites emit heartbeats this often;
-    #: the detector raises suspicion after phi × the mean interval of
-    #: silence, opens the site's circuit breaker, and probes until it
-    #: can be re-admitted.
-    health_heartbeat_s: float = 0.0
-    #: Fractional heartbeat jitter in [0, 1) (drawn from the dedicated
-    #: "health" stream); nonzero jitter gives the detector a real
-    #: false-positive rate to measure.
-    health_heartbeat_jitter: float = 0.0
-    #: Suspicion threshold: silence / mean-interval ratio that trips the
-    #: detector.  Lower = faster detection, more false positives.
-    health_phi_threshold: float = 3.0
-    #: Base interval between half-open breaker probes (s).
-    health_probe_interval_s: float = 30.0
-    #: Observed-only mode: cut the oracle channel entirely — outages no
-    #: longer mark sites down in the information service; the detector
-    #: plus the breakers are the only failure knowledge the schedulers
-    #: get.  Requires heartbeats.
-    health_observed_only: bool = False
-    #: Straggler quantile for speculative backup execution (0 = off).
+    #: 0 leaves the health layer off unless speculation is armed.
+    health_heartbeat_s: float = knob(
+        0.0, "--heartbeat", "heartbeat interval; > 0 installs the observed "
+        "failure detector (0 = off)", group="health", metavar="SECONDS")
+    #: Drawn from the dedicated "health" stream; nonzero jitter gives the
+    #: detector a real false-positive rate to measure.
+    health_heartbeat_jitter: float = knob(
+        0.0, "--heartbeat-jitter", "uniform jitter fraction on heartbeat "
+        "spacing, in [0, 1)", group="health", metavar="FRACTION")
+    #: Lower = faster detection, more false positives.
+    health_phi_threshold: float = knob(
+        3.0, "--phi-threshold", "suspect a site when the silence exceeds "
+        "this multiple of its mean heartbeat spacing (default 3)",
+        group="health", metavar="PHI")
+    health_probe_interval_s: float = knob(
+        30.0, "--probe-interval", "base delay between recovery probes of a "
+        "tripped site (default 30)", group="health", metavar="SECONDS")
+    #: Requires heartbeats.
+    health_observed_only: bool = knob(
+        False, "--observed-only", "cut the oracle channel: schedulers learn "
+        "of failures only through heartbeats and dispatch errors",
+        group="health")
     #: An attempt older than ``speculate_multiplier`` × this quantile of
     #: completed durations gets one backup clone; first completion wins.
-    speculate_quantile: float = 0.0
-    #: Straggler threshold multiplier over the quantile duration.
-    speculate_multiplier: float = 2.0
+    speculate_quantile: float = knob(
+        0.0, "--speculate-quantile", "straggler quantile in [0, 1); > 0 "
+        "enables speculative backup execution (0 = off)",
+        group="health", metavar="Q")
+    speculate_multiplier: float = knob(
+        2.0, "--speculate-multiplier", "a job is a straggler once it runs "
+        "this multiple of the quantile duration (default 2)",
+        group="health", metavar="X")
 
     # ---- Data durability --------------------------------------------------------
-    #: Target live replicas per dataset (1 = the paper's single pinned
-    #: primary).  > 1 requires ``durability_repair``.
-    replication_factor: int = 1
-    #: Arm the RepairManager: under-replicated datasets are re-copied
-    #: through the data mover until the target factor holds (or the
-    #: dataset is marked lost).
-    durability_repair: bool = False
-    #: Background scrubber period in seconds (0 = off).  Each pass
-    #: checksum-verifies every resident replica and quarantines corrupt
-    #: ones; corruption is otherwise only found on access.
-    scrub_interval_s: float = 0.0
-    #: Repair placement policy: "closest" (hop count) or "forecast"
-    #: (NWS bandwidth prediction over observed transfers).
-    repair_placement: str = "closest"
+    #: 1 = the paper's single pinned primary.
+    replication_factor: int = knob(
+        1, "--replication-factor", "target live replicas per dataset (> 1 "
+        "needs --repair on; default 1)", group="durability", metavar="N")
+    #: Arms the RepairManager; a dataset it cannot restore is marked lost.
+    durability_repair: bool = knob(
+        False, "--repair", "re-replicate datasets that fall below the "
+        "target factor", group="durability")
+    scrub_interval_s: float = knob(
+        0.0, "--scrub-interval", "background checksum-scrubber period (0 = "
+        "detect on access only)", group="durability", metavar="SECONDS")
+    #: "closest" (hop count) or "forecast" (NWS bandwidth prediction over
+    #: observed transfers).
+    repair_placement: str = knob(
+        "closest", "--repair-placement", "repair source/destination policy "
+        "(default closest)", group="durability", choices=PLACEMENTS)
 
     # ---- DAG workloads ---------------------------------------------------------
-    #: Dependency motif wired over each user's job list ("none" = the
-    #: paper's independent jobs; "chain", "diamond", "fanout",
-    #: "mapreduce" — see :mod:`repro.workload.dag`).  Non-"none" replaces
-    #: per-user sequential submission with the dependency-release driver.
-    dag_shape: str = "none"
-    #: Fan-out / map count for the shapes that have one.
-    dag_width: int = 3
-    #: Place each released DAG batch group-at-a-time by input-set
-    #: signature (DIANA-style bulk scheduling) instead of job-by-job.
-    #: Requires a DAG shape.
-    bulk_submission: bool = False
+    #: "none" is the paper's independent jobs; see :mod:`repro.workload.dag`.
+    dag_shape: str = knob(
+        "none", "--dag-shape", "wire each user's jobs into dependency "
+        "motifs; jobs are released as their parents complete",
+        group="dag", choices=DAG_SHAPES)
+    dag_width: int = knob(
+        3, "--dag-width", "fan-out / map count for shapes that have one "
+        "(default 3)", group="dag", metavar="N")
+    #: DIANA-style bulk scheduling.
+    bulk_submission: bool = knob(
+        False, "--bulk", "place each released batch group-at-a-time by "
+        "input-set signature (needs a DAG shape)", group="dag")
 
     # ---- Replication seed ----------------------------------------------------
     seed: int = 0
@@ -219,33 +272,24 @@ class SimulationConfig:
             raise ValueError(
                 "storage must exceed the largest dataset, otherwise no "
                 "site can ever cache a remote file")
-        if self.catalog_delay_s < 0:
-            raise ValueError(
-                f"catalog delay must be >= 0, got {self.catalog_delay_s!r}")
-        if self.info_timeout_s < 0:
-            raise ValueError(
-                f"info timeout must be >= 0, got {self.info_timeout_s!r}")
-        if self.queue_capacity < 0:
-            raise ValueError(
-                f"queue capacity must be >= 0, got {self.queue_capacity!r}")
-        if self.deflect_budget < 0:
-            raise ValueError(
-                f"deflect budget must be >= 0, got {self.deflect_budget!r}")
-        if self.job_deadline_s < 0:
-            raise ValueError(
-                f"job deadline must be >= 0, got {self.job_deadline_s!r}")
-        if self.aging_factor < 0:
-            raise ValueError(
-                f"aging factor must be >= 0, got {self.aging_factor!r}")
+        _one_of("topology", self.topology, TOPOLOGIES)
+        _one_of("popularity model", self.popularity_model, POPULARITY_MODELS)
+        _one_of("allocator", self.allocator, ALLOCATORS)
+        _one_of("local scheduler", self.local_scheduler, ALL_LS)
+        if self.degraded_es:
+            _one_of("degraded External Scheduler", self.degraded_es,
+                    ES_NAMES)
+        # Each layer's own checks live in its policy; building all four
+        # here fails a bad value before any run is set up.
+        self.info_policy()
+        self.overload_policy()
+        self.health_policy()
+        self.durability_policy()
         if self.arrival_rate_per_s < 0:
             raise ValueError(
                 f"arrival rate must be >= 0, "
                 f"got {self.arrival_rate_per_s!r}")
-        from repro.workload.dag import DAG_SHAPES
-        if self.dag_shape not in DAG_SHAPES:
-            raise ValueError(
-                f"unknown DAG shape {self.dag_shape!r}; expected one of "
-                f"{DAG_SHAPES}")
+        _one_of("DAG shape", self.dag_shape, DAG_SHAPES)
         if self.dag_width < 1:
             raise ValueError(
                 f"DAG width must be >= 1, got {self.dag_width!r}")
@@ -258,44 +302,55 @@ class SimulationConfig:
                 "DAG workloads are incompatible with open-loop arrivals: "
                 "release order is driven by dependencies, not a Poisson "
                 "stream")
-        # Health-layer knob sanity; the full cross-field validation lives
-        # in HealthPolicy.__post_init__ (constructed by build_grid).
-        if self.health_heartbeat_s < 0:
-            raise ValueError(
-                f"heartbeat interval must be >= 0, "
-                f"got {self.health_heartbeat_s!r}")
-        if self.health_observed_only and self.health_heartbeat_s == 0:
-            raise ValueError(
-                "observed-only mode needs the heartbeat detector: set "
-                "health_heartbeat_s > 0")
-        if not 0.0 <= self.speculate_quantile < 1.0:
-            raise ValueError(
-                f"speculation quantile must be in [0, 1), "
-                f"got {self.speculate_quantile!r}")
         if self.speculate_quantile > 0 and self.dag_shape != "none":
             raise ValueError(
                 "speculative execution is incompatible with DAG "
                 "workloads: dependency release keys on the primary "
                 "attempt reaching DONE")
-        # Durability knob sanity; cross-field validation lives in
-        # DurabilityPolicy.__post_init__ (constructed by build_grid).
-        if self.replication_factor < 1:
-            raise ValueError(
-                f"replication factor must be >= 1, "
-                f"got {self.replication_factor!r}")
-        if self.replication_factor > 1 and not self.durability_repair:
-            raise ValueError(
-                "replication_factor > 1 needs the RepairManager: set "
-                "durability_repair=True")
-        if self.scrub_interval_s < 0:
-            raise ValueError(
-                f"scrub interval must be >= 0, "
-                f"got {self.scrub_interval_s!r}")
-        from repro.grid.durability import PLACEMENTS
-        if self.repair_placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown repair placement {self.repair_placement!r}; "
-                f"expected one of {PLACEMENTS}")
+
+    # -- layer policies ----------------------------------------------------------
+    # Each returns None when its layer is off, so build_grid leaves the
+    # layer out and draws none of its random streams.
+
+    def info_policy(self) -> Optional[InfoPolicy]:
+        """The information-quality policy (None = every query live)."""
+        policy = InfoPolicy(refresh_interval_s=self.info_refresh_interval_s,
+                            catalog_delay_s=self.catalog_delay_s,
+                            query_timeout_s=self.info_timeout_s)
+        return None if policy.is_live else policy
+
+    def overload_policy(self) -> Optional[OverloadPolicy]:
+        """The saturation-protection policy (None = the paper's model)."""
+        policy = OverloadPolicy(
+            queue_capacity=self.queue_capacity,
+            deflect_budget=self.deflect_budget,
+            job_deadline_s=self.job_deadline_s,
+            aging_factor=self.aging_factor,
+            degraded_es=self.degraded_es,
+            storage_reservations=self.storage_reservations)
+        return None if policy.is_null else policy
+
+    def health_policy(self) -> Optional[HealthPolicy]:
+        """The observed-health policy (None = the paper's oracle)."""
+        policy = HealthPolicy(
+            heartbeat_interval_s=self.health_heartbeat_s,
+            heartbeat_jitter=self.health_heartbeat_jitter,
+            phi_threshold=self.health_phi_threshold,
+            probe_interval_s=self.health_probe_interval_s,
+            probe_backoff_cap_s=max(240.0, self.health_probe_interval_s),
+            observed_only=self.health_observed_only,
+            speculate_quantile=self.speculate_quantile,
+            speculate_multiplier=self.speculate_multiplier)
+        return None if policy.is_null else policy
+
+    def durability_policy(self) -> Optional[DurabilityPolicy]:
+        """The durability policy (None = nothing armed)."""
+        policy = DurabilityPolicy(
+            replication_factor=self.replication_factor,
+            repair=self.durability_repair,
+            scrub_interval_s=self.scrub_interval_s,
+            placement=self.repair_placement)
+        return None if policy.is_null else policy
 
     # -- factories -------------------------------------------------------------
 

@@ -18,9 +18,6 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.sweep import grid_sweep
 from repro.grid.arrivals import OpenArrivalProcess
 from repro.grid.grid import DataGrid
-from repro.grid.health import HealthPolicy
-from repro.grid.overload import OverloadPolicy
-from repro.grid.staleness import InfoPolicy
 from repro.grid.user import User
 from repro.metrics.collector import RunMetrics
 from repro.metrics.summary import MetricSummary, summarize
@@ -131,49 +128,15 @@ def build_grid(
         delete_idle_after_s=config.ds_delete_idle_after_s,
     )
 
-    # The "faults" stream is only drawn when a plan is active (the config
-    # stores a null plan as None), so adding the fault layer cannot
-    # perturb any other stream in fault-free runs.
+    # Each layer's random stream is drawn only when the layer is armed (a
+    # null plan or policy is None), so adding a layer cannot perturb any
+    # other stream in runs that leave it off.
     fault_plan = config.fault_plan
-    # Same contract for the "overload" stream: a null policy is dropped
-    # entirely so default configs take the exact pre-overload paths.
-    overload_policy = OverloadPolicy(
-        queue_capacity=config.queue_capacity,
-        deflect_budget=config.deflect_budget,
-        job_deadline_s=config.job_deadline_s,
-        aging_factor=config.aging_factor,
-        degraded_es=config.degraded_es,
-        storage_reservations=config.storage_reservations,
-    )
-    if overload_policy.is_null:
-        overload_policy = None
-    # Same contract again for the "health" stream: a null policy is
-    # dropped, and the stream is drawn only when the layer is active.
-    health_policy = HealthPolicy(
-        heartbeat_interval_s=config.health_heartbeat_s,
-        heartbeat_jitter=config.health_heartbeat_jitter,
-        phi_threshold=config.health_phi_threshold,
-        probe_interval_s=config.health_probe_interval_s,
-        probe_backoff_cap_s=max(240.0, config.health_probe_interval_s),
-        observed_only=config.health_observed_only,
-        speculate_quantile=config.speculate_quantile,
-        speculate_multiplier=config.speculate_multiplier,
-    )
-    if health_policy.is_null:
-        health_policy = None
-    # Same contract for the "durability" stream: a null policy is
-    # dropped, and the stream is drawn only when the layer is armed —
-    # either by policy or by durability faults in the plan (the grid
-    # then auto-installs a detection-only manager).
-    from repro.grid.durability import DurabilityPolicy
-    durability_policy = DurabilityPolicy(
-        replication_factor=config.replication_factor,
-        repair=config.durability_repair,
-        scrub_interval_s=config.scrub_interval_s,
-        placement=config.repair_placement,
-    )
-    if durability_policy.is_null:
-        durability_policy = None
+    overload_policy = config.overload_policy()
+    health_policy = config.health_policy()
+    durability_policy = config.durability_policy()
+    # Durability faults in the plan arm the layer too: the grid then
+    # installs a detection-only manager.
     durability_armed = (
         durability_policy is not None
         or (fault_plan is not None and fault_plan.has_durability_faults))
@@ -187,11 +150,7 @@ def build_grid(
         site_processors=site_processors,
         storage_capacity_mb=config.storage_capacity_mb,
         datamover_rng=streams.stream("datamover"),
-        info_policy=InfoPolicy(
-            refresh_interval_s=config.info_refresh_interval_s,
-            catalog_delay_s=config.catalog_delay_s,
-            query_timeout_s=config.info_timeout_s,
-        ),
+        info_policy=config.info_policy(),
         allocator=_make_allocator(config),
         fault_plan=fault_plan,
         fault_rng=(streams.stream("faults")

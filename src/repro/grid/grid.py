@@ -135,7 +135,6 @@ class DataGrid:
         site_processors: Dict[str, int],
         storage_capacity_mb: float = float("inf"),
         datamover_rng: Optional[random.Random] = None,
-        info_refresh_interval_s: float = 0.0,
         info_policy=None,
         allocator=None,
         fault_plan=None,
@@ -154,10 +153,10 @@ class DataGrid:
         ``site_processors`` maps each site name to its processor count
         (paper: 2–5 per site).  Every site gets ``storage_capacity_mb`` of
         LRU-managed storage.  ``info_policy`` (an
-        :class:`~repro.grid.staleness.InfoPolicy`) takes precedence over
-        the ``info_refresh_interval_s`` shorthand; a policy with a
-        positive catalog delay routes scheduler replica queries through a
-        stale view.  ``watchdog_interval_s`` > 0 installs the runtime
+        :class:`~repro.grid.staleness.InfoPolicy`; None = every query
+        live) sets information staleness; a policy with a positive
+        catalog delay routes scheduler replica queries through a stale
+        view.  ``watchdog_interval_s`` > 0 installs the runtime
         invariant watchdog (:mod:`repro.watchdog`) at that check period.
         A non-null ``overload_policy``
         (:class:`~repro.grid.overload.OverloadPolicy`) arms the saturation
@@ -198,9 +197,7 @@ class DataGrid:
                 priority_queue=local_scheduler.uses_priorities)
             sites[name] = Site(sim, name, compute, storages[name],
                                datamover, local_scheduler)
-        info = InformationService(sim, sites, catalog,
-                                  refresh_interval_s=info_refresh_interval_s,
-                                  policy=info_policy)
+        info = InformationService(sim, sites, catalog, policy=info_policy)
         grid = cls(sim, topology, transfers, catalog, datasets, storages,
                    sites, info, datamover, external_scheduler,
                    dataset_scheduler)

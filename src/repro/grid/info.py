@@ -47,13 +47,11 @@ class InformationService:
         Name → :class:`~repro.grid.site.Site` mapping (shared, live).
     catalog:
         The replica catalog.
-    refresh_interval_s:
-        0 (default) serves live values; > 0 serves snapshots refreshed
-        periodically, modelling MDS/NWS staleness.  Shorthand for a
-        policy with only that knob set; ignored when ``policy`` is given.
     policy:
-        Full information-quality policy.  A policy with
-        ``catalog_delay_s > 0`` additionally installs a
+        Information-quality policy (None = every query live).  A positive
+        ``refresh_interval_s`` serves load snapshots refreshed
+        periodically, modelling MDS/NWS staleness; a positive
+        ``catalog_delay_s`` installs a
         :class:`~repro.grid.staleness.StaleReplicaView` between the
         schedulers and the catalog.
     """
@@ -63,14 +61,10 @@ class InformationService:
         sim: Simulator,
         sites: Dict[str, "Site"],
         catalog: ReplicaCatalog,
-        refresh_interval_s: float = 0.0,
         policy: Optional[InfoPolicy] = None,
     ) -> None:
-        if refresh_interval_s < 0:
-            raise ValueError(
-                f"refresh interval must be >= 0, got {refresh_interval_s!r}")
         if policy is None:
-            policy = InfoPolicy(refresh_interval_s=refresh_interval_s)
+            policy = InfoPolicy()
         self.sim = sim
         self.sites = sites
         self.catalog = catalog

@@ -8,7 +8,7 @@ string names are defined.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.scheduling.adaptive import AdaptiveExternalScheduler
 from repro.scheduling.base import (
@@ -76,6 +76,9 @@ def _health_variant(base: str) -> Callable[..., ExternalScheduler]:
 for _base in ("JobRandom", "JobLeastLoaded", "JobDataPresent", "JobLocal"):
     _ES_FACTORIES[f"{_base}+Health"] = _health_variant(_base)
 del _base
+
+#: Every External Scheduler name :func:`make_external_scheduler` accepts.
+ES_NAMES: Tuple[str, ...] = tuple(_ES_FACTORIES)
 
 _LS_FACTORIES: Dict[str, Callable[[], LocalScheduler]] = {
     "FIFO": FIFOLocalScheduler,

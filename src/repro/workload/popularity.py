@@ -137,17 +137,21 @@ class UniformPopularity(PopularityModel):
         return [1.0 / self.n_items] * self.n_items
 
 
+_MODELS = {
+    "geometric": GeometricPopularity,
+    "zipf": ZipfPopularity,
+    "uniform": UniformPopularity,
+}
+#: Every model name :func:`make_popularity_model` accepts.
+POPULARITY_MODELS = tuple(_MODELS)
+
+
 def make_popularity_model(name: str, n_items: int, **kwargs) -> PopularityModel:
     """Factory by name: ``geometric`` (paper), ``zipf``, ``uniform``."""
-    models = {
-        "geometric": GeometricPopularity,
-        "zipf": ZipfPopularity,
-        "uniform": UniformPopularity,
-    }
     try:
-        cls = models[name]
+        cls = _MODELS[name]
     except KeyError:
         raise ValueError(
-            f"unknown popularity model {name!r}; known: {sorted(models)}"
+            f"unknown popularity model {name!r}; known: {sorted(_MODELS)}"
         ) from None
     return cls(n_items, **kwargs)

@@ -1,12 +1,66 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import main
+from repro import SimulationConfig
+from repro.cli import _build_config, build_parser, main
+from repro.experiments.parallel import RunSpec
 
 SMALL = ["--scale", "0.05"]
+
+#: The SimulationConfig fields the CLI exposes, in field order.
+KNOBS = [f for f in dataclasses.fields(SimulationConfig)
+         if "flag" in f.metadata]
+
+#: A non-default sample for every knob: field -> (flag text, value).
+SAMPLES = {
+    "n_users": ("60", 60),
+    "n_sites": ("12", 12),
+    "n_datasets": ("50", 50),
+    "bandwidth_mbps": ("100", 100.0),
+    "n_jobs": ("3000", 3000),
+    "inputs_per_job": ("2", 2),
+    "output_fraction": ("0.5", 0.5),
+    "popularity_model": ("zipf", "zipf"),
+    "geometric_p": ("0.1", 0.1),
+    "topology": ("ring", "ring"),
+    "info_refresh_interval_s": ("60", 60.0),
+    "catalog_delay_s": ("30", 30.0),
+    "info_timeout_s": ("120", 120.0),
+    "watchdog": ("on", True),
+    "allocator": ("max-min", "max-min"),
+    "queue_capacity": ("8", 8),
+    "deflect_budget": ("3", 3),
+    "job_deadline_s": ("600", 600.0),
+    "aging_factor": ("0.5", 0.5),
+    "degraded_es": ("JobLeastLoaded", "JobLeastLoaded"),
+    "storage_reservations": ("on", True),
+    "arrival_rate_per_s": ("0.05", 0.05),
+    "health_heartbeat_s": ("20", 20.0),
+    "health_heartbeat_jitter": ("0.2", 0.2),
+    "health_phi_threshold": ("6", 6.0),
+    "health_probe_interval_s": ("60", 60.0),
+    "health_observed_only": ("on", True),
+    "speculate_quantile": ("0.9", 0.9),
+    "speculate_multiplier": ("3", 3.0),
+    "replication_factor": ("2", 2),
+    "durability_repair": ("on", True),
+    "scrub_interval_s": ("600", 600.0),
+    "repair_placement": ("forecast", "forecast"),
+    "dag_shape": ("chain", "chain"),
+    "dag_width": ("5", 5),
+    "bulk_submission": ("on", True),
+}
+#: Knobs whose sample the config accepts only with another knob's sample.
+NEEDS = {
+    "health_observed_only": "health_heartbeat_s",
+    "replication_factor": "durability_repair",
+    "bulk_submission": "dag_shape",
+}
 
 
 class TestTable1:
@@ -354,3 +408,63 @@ class TestDurabilitySweep:
                      "--scrubs", "0",
                      "--pairs", "JobLocal+DataDoNothing", "-j", "2"]) == 0
         assert "lowest surviving RF" in capsys.readouterr().out
+
+
+class TestKnobFlags:
+    @pytest.mark.parametrize("knob", KNOBS, ids=lambda f: f.name)
+    def test_flag_round_trips_to_its_field(self, knob):
+        names = [knob.name] + ([NEEDS[knob.name]] if knob.name in NEEDS
+                               else [])
+        argv = ["run"]
+        for name in names:
+            argv += [SimulationConfig.__dataclass_fields__[name]
+                     .metadata["flag"], SAMPLES[name][0]]
+        built = _build_config(build_parser().parse_args(argv))
+        expected = SimulationConfig.paper().with_(
+            **{name: SAMPLES[name][1] for name in names})
+        assert built == expected
+        # Equality forgives 2 == 2.0; the cache key does not.
+        assert (RunSpec(built, "JobLocal", "DataRandom", 0).cache_key()
+                == RunSpec(expected, "JobLocal", "DataRandom",
+                           0).cache_key())
+
+    def test_every_sample_names_a_knob(self):
+        assert set(SAMPLES) == {knob.name for knob in KNOBS}
+
+    @pytest.mark.parametrize(
+        "knob", [f for f in KNOBS if isinstance(f.default, bool)],
+        ids=lambda f: f.name)
+    def test_off_sets_false(self, knob):
+        args = build_parser().parse_args(["run", knob.metadata["flag"], "off"])
+        assert _build_config(args) == SimulationConfig.paper()
+
+    def test_storage_gb_converts_to_mb(self):
+        args = build_parser().parse_args(["run", "--storage-gb", "8"])
+        assert _build_config(args) == SimulationConfig.paper().with_(
+            storage_capacity_mb=8000.0)
+
+    def test_every_subcommand_renders_its_help(self):
+        """argparse formats help text only on --help, so a stray % in a
+        help string would otherwise surface only for the user."""
+        todo, rendered = [build_parser()], 0
+        while todo:
+            parser = todo.pop()
+            assert parser.format_help()
+            rendered += 1
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    todo.extend(action.choices.values())
+        assert rendered == 12  # the top level and all 11 subcommands
+
+    @pytest.mark.parametrize("argv", [
+        ["--phi-threshold", "0.5"],
+        ["--heartbeat-jitter", "1.5"],
+        ["--speculate-multiplier", "0.5"],
+        ["--probe-interval", "0"],
+        ["--info-refresh", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_layer_knob_is_one_error_line(self, argv, capsys):
+        assert main(["run", *SMALL, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1

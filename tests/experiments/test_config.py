@@ -9,6 +9,10 @@ from repro.experiments.config import (
 )
 from repro.experiments.parallel import RunSpec
 from repro.faults.plan import FaultPlan
+from repro.grid.durability import DurabilityPolicy
+from repro.grid.health import HealthPolicy
+from repro.grid.overload import OverloadPolicy
+from repro.grid.staleness import InfoPolicy
 
 
 class TestTable1:
@@ -72,6 +76,69 @@ class TestValidation:
     def test_storage_below_largest_dataset_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(storage_capacity_mb=1000.0)
+
+    @pytest.mark.parametrize("change", [
+        {"topology": "bogus"},
+        {"allocator": "bogus"},
+        {"popularity_model": "bogus"},
+        {"local_scheduler": "bogus"},
+        {"degraded_es": "JobMagic"},
+        {"health_phi_threshold": 0.5},
+        {"health_heartbeat_jitter": 1.5},
+        {"speculate_multiplier": 0.5},
+        {"health_probe_interval_s": 0.0},
+        {"info_refresh_interval_s": -1.0},
+    ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+    def test_layer_and_name_checks_run_at_construction(self, change):
+        """Values a policy or registry rejects fail before any run."""
+        with pytest.raises(ValueError):
+            SimulationConfig.paper().with_(**change)
+
+    def test_every_registered_name_is_accepted(self):
+        from repro.scheduling.registry import ALL_LS, ES_NAMES
+
+        for name in ALL_LS:
+            SimulationConfig(local_scheduler=name)
+        for name in ES_NAMES:
+            SimulationConfig(degraded_es=name)
+
+
+class TestLayerPolicies:
+    def test_paper_config_arms_only_stale_load_info(self):
+        config = SimulationConfig.paper()
+        assert config.info_policy() == InfoPolicy(refresh_interval_s=300.0)
+        assert config.overload_policy() is None
+        assert config.health_policy() is None
+        assert config.durability_policy() is None
+        assert config.with_(info_refresh_interval_s=0.0).info_policy() is None
+
+    def test_policies_mirror_the_flat_knobs(self):
+        config = SimulationConfig.paper().with_(
+            info_refresh_interval_s=0.0, catalog_delay_s=60.0,
+            info_timeout_s=30.0, queue_capacity=8, deflect_budget=2,
+            job_deadline_s=900.0, aging_factor=0.1, degraded_es="JobLocal",
+            storage_reservations=True, health_heartbeat_s=20.0,
+            health_heartbeat_jitter=0.1, health_phi_threshold=4.0,
+            health_probe_interval_s=300.0, health_observed_only=True,
+            speculate_quantile=0.9, speculate_multiplier=3.0,
+            replication_factor=2, durability_repair=True,
+            scrub_interval_s=600.0, repair_placement="forecast")
+        assert config.info_policy() == InfoPolicy(
+            refresh_interval_s=0.0, catalog_delay_s=60.0,
+            query_timeout_s=30.0)
+        assert config.overload_policy() == OverloadPolicy(
+            queue_capacity=8, deflect_budget=2, job_deadline_s=900.0,
+            aging_factor=0.1, degraded_es="JobLocal",
+            storage_reservations=True)
+        # The backoff cap never sits below the probe interval.
+        assert config.health_policy() == HealthPolicy(
+            heartbeat_interval_s=20.0, heartbeat_jitter=0.1,
+            phi_threshold=4.0, probe_interval_s=300.0,
+            probe_backoff_cap_s=300.0, observed_only=True,
+            speculate_quantile=0.9, speculate_multiplier=3.0)
+        assert config.durability_policy() == DurabilityPolicy(
+            replication_factor=2, repair=True, scrub_interval_s=600.0,
+            placement="forecast")
 
 
 class TestScaling:

@@ -165,6 +165,14 @@ class TestEngine:
             grid_sweep(PLAIN, [Axis("bandwidth_mbps", (10.0,))], ())
         assert recorded == []
 
+    def test_bad_value_raises_before_any_run(self, recorded):
+        """A cell the config rejects stops the sweep before it submits."""
+        axis = Axis("health_phi_threshold", (3.0, 0.5))
+        with pytest.raises(ValueError, match="phi threshold"):
+            grid_sweep(PLAIN.with_(health_heartbeat_s=20.0), [axis], PAIRS,
+                       SEEDS)
+        assert recorded == []
+
     def test_series_needs_exactly_one_free_axis(self):
         result = _result([Axis("queue_capacity", (4,)),
                           Axis("arrival_rate_per_s", (0.1,))],

@@ -91,12 +91,13 @@ class TestStaleness:
         sim, grid = small_grid
         with pytest.raises(ValueError):
             InformationService(sim, grid.sites, grid.catalog,
-                               refresh_interval_s=-1)
+                               policy=InfoPolicy(refresh_interval_s=-1))
 
     def test_stale_load_lags_reality(self, small_grid):
         sim, grid = small_grid
-        info = InformationService(sim, grid.sites, grid.catalog,
-                                  refresh_interval_s=100.0)
+        info = InformationService(
+            sim, grid.sites, grid.catalog,
+            policy=InfoPolicy(refresh_interval_s=100.0))
         for i in range(5):
             grid.submit(Job(job_id=i, user="u", origin_site="site00",
                             input_files=["d0"], runtime_s=10_000))
@@ -108,8 +109,9 @@ class TestStaleness:
 
     def test_stale_unknown_site_raises(self, small_grid):
         sim, grid = small_grid
-        info = InformationService(sim, grid.sites, grid.catalog,
-                                  refresh_interval_s=100.0)
+        info = InformationService(
+            sim, grid.sites, grid.catalog,
+            policy=InfoPolicy(refresh_interval_s=100.0))
         with pytest.raises(KeyError):
             info.load("nowhere")
 
@@ -124,8 +126,9 @@ class TestAvailabilityFiltering:
 
     def test_loads_excludes_down_site_in_snapshot_mode(self, small_grid):
         sim, grid = small_grid
-        info = InformationService(sim, grid.sites, grid.catalog,
-                                  refresh_interval_s=100.0)
+        info = InformationService(
+            sim, grid.sites, grid.catalog,
+            policy=InfoPolicy(refresh_interval_s=100.0))
         info.mark_site_down("site01")
         loads = info.loads()
         assert "site01" not in loads
@@ -138,8 +141,9 @@ class TestAvailabilityFiltering:
 
     def test_least_loaded_skips_down_candidate(self, small_grid):
         sim, grid = small_grid
-        info = InformationService(sim, grid.sites, grid.catalog,
-                                  refresh_interval_s=100.0)
+        info = InformationService(
+            sim, grid.sites, grid.catalog,
+            policy=InfoPolicy(refresh_interval_s=100.0))
         info.mark_site_down("site00")
         # site00 is the alphabetical tie-winner; down it must lose.
         assert info.least_loaded(["site00", "site02"]) == "site02"
@@ -159,8 +163,9 @@ class TestAvailabilityFiltering:
         hybrid.
         """
         sim, grid = small_grid
-        info = InformationService(sim, grid.sites, grid.catalog,
-                                  refresh_interval_s=100.0)
+        info = InformationService(
+            sim, grid.sites, grid.catalog,
+            policy=InfoPolicy(refresh_interval_s=100.0))
         for i in range(5):
             grid.submit(Job(job_id=i, user="u", origin_site="site00",
                             input_files=["d0"], runtime_s=10_000))

@@ -2,12 +2,8 @@
 
 Two contracts, checked over Hypothesis-generated workloads:
 
-* **Zero staleness is exactly the live service.**  A grid built through
-  the unified :class:`InfoPolicy` with ``catalog_delay_s == 0`` must
-  behave bitwise-identically to one built through the legacy
-  ``refresh_interval_s`` shorthand (the pre-policy construction), and a
-  live-information run must never report misdirections, bounces, or
-  stale reads.
+* **Zero staleness is exactly the live service.**  A live-information
+  run must never report misdirections, bounces, or stale reads.
 * **Stale runs are deterministic.**  Any positive catalog delay yields
   the same job outcomes and the same staleness counters on every
   repetition.
@@ -46,8 +42,8 @@ common_settings = settings(
     suppress_health_check=[HealthCheck.too_slow])
 
 
-def make_grid(policy=None, legacy_refresh=0.0):
-    """A 4-site grid built either through a policy or the legacy knob."""
+def make_grid(policy=None):
+    """A 4-site grid under an information policy (None = live)."""
     sim = Simulator()
     topology = Topology.star(4, 10.0)
     datasets = DatasetCollection([
@@ -65,7 +61,6 @@ def make_grid(policy=None, legacy_refresh=0.0):
         storage_capacity_mb=6_000,
         datamover_rng=random.Random(1),
         info_policy=policy,
-        info_refresh_interval_s=legacy_refresh,
         watchdog_interval_s=150.0,  # always-on-in-tests invariant audits
     )
     grid.place_initial_replicas(
@@ -100,20 +95,10 @@ def outcome(sim, grid, jobs):
     }
 
 
-def run_outcome(specs, policy=None, legacy_refresh=0.0):
-    sim, grid = make_grid(policy=policy, legacy_refresh=legacy_refresh)
+def run_outcome(specs, policy=None):
+    sim, grid = make_grid(policy=policy)
     jobs = run_jobs(sim, grid, specs)
     return outcome(sim, grid, jobs)
-
-
-@given(specs=job_specs, refresh=st.sampled_from([0.0, 60.0]))
-@common_settings
-def test_zero_delay_policy_equals_legacy_shorthand(specs, refresh):
-    """InfoPolicy(catalog_delay_s=0) is bitwise the pre-policy service."""
-    policy_run = run_outcome(
-        specs, policy=InfoPolicy(refresh_interval_s=refresh))
-    legacy_run = run_outcome(specs, legacy_refresh=refresh)
-    assert policy_run == legacy_run
 
 
 @given(specs=job_specs)
