@@ -19,6 +19,7 @@ Schedulers hit this object on every job, so the indices are maintained
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 import random
@@ -38,6 +39,9 @@ class ReplicaCatalog:
         self._sorted_locations: Dict[str, List[str]] = {}
         #: site → {dataset name: size in MB} (0.0 when registered sizeless).
         self._site_index: Dict[str, Dict[str, float]] = {}
+        #: site → count of registrations and removals there (see
+        #: :meth:`site_version`).
+        self._site_versions: Dict[str, int] = defaultdict(int)
         #: Cumulative counters for metrics.
         self.registrations = 0
         self.deregistrations = 0
@@ -88,6 +92,7 @@ class ReplicaCatalog:
                 for listener in self._listeners:
                     listener.on_register(dataset_name, site, size_mb)
         self._site_index.setdefault(site, {})[dataset_name] = size_mb
+        self._site_versions[site] += 1
         self.registrations += 1
 
     def deregister(self, dataset_name: str, site: str) -> None:
@@ -100,6 +105,7 @@ class ReplicaCatalog:
             held = self._site_index.get(site)
             if held is not None:
                 held.pop(dataset_name, None)
+            self._site_versions[site] += 1
             self.deregistrations += 1
             if self._tracer is not None:
                 self._tracer.emit(
@@ -108,6 +114,16 @@ class ReplicaCatalog:
             if self._listeners:
                 for listener in self._listeners:
                     listener.on_deregister(dataset_name, site)
+
+    def site_version(self, site: str) -> int:
+        """A number that moves whenever ``site``'s replica records change.
+
+        Bumped by every :meth:`register` and every effective
+        :meth:`deregister` at the site, so an unchanged version means
+        :meth:`datasets_at` and :meth:`has_replica` still answer for
+        ``site`` as they did when it was read.
+        """
+        return self._site_versions.get(site, 0)
 
     def locations(self, dataset_name: str) -> List[str]:
         """Sites currently holding the dataset (sorted for determinism)."""

@@ -594,6 +594,14 @@ class HealthMonitor:
             # feed the breaker; the straggler stays eligible next tick.
             self.record_dispatch_failure(site_name)
             return
+        overload = grid.overload
+        if (overload is not None and overload.queue_capacity
+                and grid.sites[site_name].load >= overload.queue_capacity):
+            # ``least_loaded`` may read a stale load snapshot, and even
+            # the least-loaded queue can be full.  A backup respects the
+            # queue bound like any job; the straggler stays eligible
+            # next tick.
+            return
         clone = Job(
             job_id=next(self._clone_ids),
             user=primary.user,
@@ -615,11 +623,14 @@ class HealthMonitor:
         engine.register(clone)
         engine.submit(clone)
         engine.dispatch(clone, site_name)
-        self.sim.process(self._run_backup(primary, clone, site_name),
+        # Enqueued now, not in the waiting process, so the next launch of
+        # this tick sees the clone in the site's load.
+        execution = grid.sites[site_name].enqueue(clone)
+        self.sim.process(self._run_backup(primary, clone, execution),
                          name=f"health:backup:{clone.job_id}")
 
-    def _run_backup(self, primary: Job, clone: Job, site_name: str):
-        yield self.grid.sites[site_name].enqueue(clone)
+    def _run_backup(self, primary: Job, clone: Job, execution):
+        yield execution
         # The race is settled when the backup attempt returns: either it
         # won (DONE — the transition hook preempted the primary), lost
         # (SPECULATED — the primary's finish preempted it), or died on

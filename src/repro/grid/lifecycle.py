@@ -143,6 +143,10 @@ TERMINAL_STATES: Tuple[JobState, ...] = tuple(
     state for state in JobState
     if not any(src is state for src, _ in TRANSITIONS))
 
+#: Every other state: a job in one of these can still change state.
+_LIVE_STATES: Tuple[JobState, ...] = tuple(
+    state for state in JobState if state not in TERMINAL_STATES)
+
 #: ``_EDGES[src.index][dst.index]`` is the edge name, or ``None`` where
 #: :data:`TRANSITIONS` declares no edge (derived, never edited by hand).
 _EDGES: List[List[Optional[str]]] = [
@@ -352,22 +356,41 @@ class TransitionEngine:
                 f"at {job.execution_site!r}, past its {deadline:g} s "
                 f"deadline (t={now:.3f})")
 
-    def audit(self) -> List[str]:
-        """Full O(jobs) recount of the incremental bookkeeping.
+    def audit(self, live_only: bool = False) -> List[str]:
+        """Recount the incremental bookkeeping.
 
-        Returns a list of problems (empty = consistent); the watchdog
-        calls this periodically so a drifted counter is caught mid-run.
+        Returns a list of problems (empty = consistent).  The full
+        recount is O(jobs).  ``live_only`` checks each state's count
+        against its id-set and each job in a non-terminal id-set against
+        its state: O(states + live jobs).  It still finds every drift a
+        state change can cause, engine-made or not, because the changed
+        job was in a non-terminal set (a terminal job never changes state
+        again).  The watchdog's periodic round runs it; its full check
+        runs the whole recount.
         """
         problems: List[str] = []
         by_state = self.by_state
-        recount = [0] * len(JobState)
-        for jid, job in self.jobs.items():
-            index = job.state.index
-            recount[index] += 1
-            if jid not in by_state[index]:
-                problems.append(
-                    f"job {jid} is {job.state.value} but missing from "
-                    "its state set")
+        if live_only:
+            jobs = self.jobs
+            for state in _LIVE_STATES:
+                for jid in by_state[state.index]:
+                    job = jobs.get(jid)
+                    if job is None or job.state is not state:
+                        problems.append(
+                            f"job {jid} sits in the {state.value!r} set "
+                            "but is "
+                            + ("unregistered" if job is None
+                               else job.state.value))
+            recount = [len(ids) for ids in by_state]
+        else:
+            recount = [0] * len(JobState)
+            for jid, job in self.jobs.items():
+                index = job.state.index
+                recount[index] += 1
+                if jid not in by_state[index]:
+                    problems.append(
+                        f"job {jid} is {job.state.value} but missing from "
+                        "its state set")
         for state, count, found in zip(JobState, self.counts, recount):
             if found != count:
                 problems.append(

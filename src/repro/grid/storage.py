@@ -67,6 +67,10 @@ class StorageElement:
         #: Space promised to in-flight transfers (dataset name -> MB).
         self._reservations: Dict[str, float] = {}
         self._reserved_mb = 0.0
+        #: Bumped by every change to the resident set, ``used_mb`` or the
+        #: reservation ledger, so a reader can tell that nothing it checks
+        #: moved since it last looked (the watchdog's periodic round).
+        self.version = 0
         #: Cumulative number of evictions (metrics).
         self.evictions = 0
         #: Per-dataset local access counts (the Dataset Scheduler's
@@ -156,6 +160,7 @@ class StorageElement:
             entry.pins = 1
         self._entries[dataset.name] = entry
         self._used_mb += dataset.size_mb
+        self.version += 1
         if self._used_mb > self.peak_used_mb:
             self.peak_used_mb = self._used_mb
 
@@ -201,6 +206,7 @@ class StorageElement:
         entry = self._entries.pop(name, None)
         if entry is None:
             raise KeyError(f"{name!r} not stored at {self.site!r}")
+        self.version += 1
         self._release(entry.dataset.size_mb)
         self.access_counts.pop(name, None)
 
@@ -257,6 +263,7 @@ class StorageElement:
         self._make_room(size)
         self._reservations[dataset.name] = size
         self._reserved_mb += size
+        self.version += 1
         if self._reserved_mb > self.peak_reserved_mb:
             self.peak_reserved_mb = self._reserved_mb
         return True
@@ -271,6 +278,7 @@ class StorageElement:
         if size is None:
             return
         self._reserved_mb -= size
+        self.version += 1
         if not self._reservations:
             # Same zero-residue rule as ``_release``: no outstanding
             # reservations means exactly nothing is reserved.
@@ -314,6 +322,7 @@ class StorageElement:
                 break
             del self._entries[entry.dataset.name]
             self.access_counts.pop(entry.dataset.name, None)
+            self.version += 1
             self._release(entry.dataset.size_mb)
             self.evictions += 1
             if self.on_evict is not None:

@@ -55,6 +55,32 @@ Invariants checked:
   as lost.  One transient is legal mid-run: zero replicas with a live
   repair campaign, whose in-flight copy settles the verdict either way.
 
+Two kinds of check run the same ``_check_*`` methods over a different
+scope.  :meth:`Watchdog.check_now` recounts everything; the runner's
+final check, perfbench's output check and the tests call it.  The
+periodic **round** re-verifies only what changed since the previous
+check:
+
+* storage-accounting, catalog-consistent and no-overcommit at the sites
+  whose :attr:`~repro.grid.storage.StorageElement.version` or
+  :meth:`~repro.grid.catalog.ReplicaCatalog.site_version` moved (the
+  first round treats every site as changed);
+* jobs-conserved through the engine's O(states + live jobs)
+  ``audit(live_only=True)`` instead of its O(jobs) recount;
+* transfers-consistent over the transfers completed since, plus the
+  active ones;
+* the deflection budget and the speculation families over the jobs
+  submitted since, plus the jobs that were live at the previous check.
+
+Everything else (site loads, no-starvation, breakers, the stale view,
+catalog-durability) is checked whole every time: it is cheap, or it
+depends on the clock.  A round skips only state that no public method
+has touched, so it raises what ``check_now()`` would raise at that
+instant.  A direct write to a field (``StorageElement._used_mb`` or
+``capacity_mb``, say) bumps no version: a round after it may miss the
+damage at a site that is otherwise idle, and the final ``check_now()``
+catches it.
+
 The watchdog is **off by default** (a watchdog-less run is bitwise
 identical to a pre-watchdog build) and *always on in tests*: the test
 suite's grid fixtures and experiment helpers install it so every clean,
@@ -65,9 +91,10 @@ event count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.grid.job import Job, JobState
+from repro.grid.lifecycle import TERMINAL_STATES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.grid import DataGrid
@@ -144,8 +171,20 @@ class Watchdog:
         self.sim = sim
         self.grid = grid
         self.interval_s = interval_s
-        #: Completed check rounds (each round asserts every invariant).
+        #: Completed checks, full or periodic.
         self.checks_run = 0
+        #: What the last passed check saw, so a round recounts only what
+        #: changed since: each site's (storage, catalog) version, how far
+        #: ``transfers.completed`` and ``submitted_jobs`` had grown, and
+        #: the submitted jobs that were still live.
+        self._site_versions: Dict[str, Tuple[int, int]] = {}
+        self._completed_seen = 0
+        self._submitted_seen = 0
+        self._live_jobs: List[Job] = []
+        #: Backups grouped by the job they clone, grown over
+        #: ``submitted_jobs[:_backups_seen]`` (speculation families).
+        self._backups: Dict[int, List[Job]] = {}
+        self._backups_seen = 0
 
     def install(self) -> "Watchdog":
         """Register on the grid and start the periodic check process."""
@@ -156,23 +195,43 @@ class Watchdog:
     def _loop(self):
         while True:
             yield self.sim.timeout(self.interval_s)
-            self.check_now()
+            self._check(full=False)
 
     # -- checks -------------------------------------------------------------------
 
     def check_now(self) -> None:
-        """Run every invariant check at the current instant."""
-        self._check_jobs()
-        self._check_storage()
-        self._check_transfers()
-        self._check_catalog()
+        """Recount every invariant over the whole grid at this instant."""
+        self._check(full=True)
+
+    def _check(self, full: bool) -> None:
+        """Assert every invariant; a round (``full=False``) recounts only
+        the state that changed since the last passed check."""
+        grid = self.grid
+        catalog = grid.catalog
+        versions = {name: (storage.version, catalog.site_version(name))
+                    for name, storage in grid.storages.items()}
+        seen = self._site_versions
+        sites = [name for name, version in versions.items()
+                 if full or seen.get(name) != version]
+        submitted = grid.submitted_jobs
+        jobs = (submitted if full
+                else self._live_jobs + submitted[self._submitted_seen:])
+        self._check_jobs(full)
+        self._check_storage(sites)
+        self._check_transfers(0 if full else self._completed_seen)
+        self._check_catalog(sites)
         self._check_stale_view()
-        self._check_queue_bounds()
-        self._check_overcommit()
+        self._check_queue_bounds(jobs)
+        self._check_overcommit(sites)
         self._check_starvation()
-        self._check_double_completion()
+        self._check_double_completion(None if full else jobs)
         self._check_breaker_state()
         self._check_catalog_durability()
+        self._site_versions = versions
+        self._completed_seen = len(grid.transfers.completed)
+        self._submitted_seen = len(submitted)
+        self._live_jobs = [job for job in jobs
+                           if job.state not in TERMINAL_STATES]
         self.checks_run += 1
         tracer = self.grid.tracer
         if tracer is not None:
@@ -186,7 +245,7 @@ class Watchdog:
         raise InvariantViolation(invariant, message, time=self.sim.now,
                                  details=details, trace_tail=tail)
 
-    def _check_jobs(self) -> None:
+    def _check_jobs(self, full: bool) -> None:
         grid = self.grid
         engine = grid.lifecycle
         in_system = 0
@@ -204,7 +263,7 @@ class Watchdog:
         expected_in_system = (engine.counts[JobState.FETCHING.index]
                               + engine.counts[JobState.RUNNING.index])
         completed = engine.counts[JobState.DONE.index]
-        problems = engine.audit()
+        problems = engine.audit(live_only=not full)
         if problems:
             self._fail("jobs-conserved",
                        "lifecycle bookkeeping drifted: "
@@ -225,8 +284,10 @@ class Watchdog:
                 f"{completed} jobs are COMPLETED",
                 site_completions=by_site_completed, jobs_completed=completed)
 
-    def _check_storage(self) -> None:
-        for name, storage in self.grid.storages.items():
+    def _check_storage(self, sites: List[str]) -> None:
+        storages = self.grid.storages
+        for name in sites:
+            storage = storages[name]
             actual = sum(
                 entry.dataset.size_mb
                 for entry in storage._entries.values())
@@ -243,9 +304,11 @@ class Watchdog:
                     site=name, used_mb=storage.used_mb,
                     capacity_mb=storage.capacity_mb)
 
-    def _check_transfers(self) -> None:
+    def _check_transfers(self, first: int) -> None:
+        """Completed transfers from index ``first`` on, and every active one
+        (a transfer never changes once it completes)."""
         manager = self.grid.transfers
-        for t in manager.completed:
+        for t in manager.completed[first:]:
             if t.failed:
                 self._fail(
                     "transfers-consistent",
@@ -265,10 +328,11 @@ class Watchdog:
                     "finished or aborted", src=t.src, dst=t.dst,
                     failed=t.failed, finished_at=t.finished_at)
 
-    def _check_catalog(self) -> None:
+    def _check_catalog(self, sites: List[str]) -> None:
         grid = self.grid
         catalog = grid.catalog
-        for name, storage in grid.storages.items():
+        for name in sites:
+            storage = grid.storages[name]
             for fname in storage._entries:
                 if not catalog.has_replica(fname, name):
                     self._fail(
@@ -293,7 +357,7 @@ class Watchdog:
             self._fail("stale-view-bounded", "; ".join(problems),
                        pending=len(view._pending))
 
-    def _check_queue_bounds(self) -> None:
+    def _check_queue_bounds(self, jobs: List[Job]) -> None:
         policy = self.grid.overload
         if policy is None or policy.queue_capacity == 0:
             return
@@ -305,7 +369,7 @@ class Watchdog:
                     f"site {site.name!r} holds {site.load} waiting jobs, "
                     f"capacity is {cap}",
                     site=site.name, load=site.load, capacity=cap)
-        for job in self.grid.submitted_jobs:
+        for job in jobs:
             if job.deflections > policy.deflect_budget:
                 self._fail(
                     "queue-bounded",
@@ -314,8 +378,10 @@ class Watchdog:
                     job=job.job_id, deflections=job.deflections,
                     budget=policy.deflect_budget)
 
-    def _check_overcommit(self) -> None:
-        for name, storage in self.grid.storages.items():
+    def _check_overcommit(self, sites: List[str]) -> None:
+        storages = self.grid.storages
+        for name in sites:
+            storage = storages[name]
             booked = sum(storage._reservations.values())
             if abs(booked - storage.reserved_mb) > _MB_EPSILON:
                 self._fail(
@@ -361,7 +427,10 @@ class Watchdog:
                     deadline_s=deadline)
 
 
-    def _check_double_completion(self) -> None:
+    def _check_double_completion(
+            self, jobs: Optional[List[Job]] = None) -> None:
+        """Judge the families with an attempt among ``jobs`` (default:
+        every family)."""
         health = self.grid.health
         if health is None:
             return
@@ -369,10 +438,17 @@ class Watchdog:
         # from it.  A family may hold several SPECULATED attempts (a
         # backup that conceded, then the primary beaten by a second
         # backup), so only the family as a whole can be judged.
-        families: Dict[int, List[Job]] = {}
-        for job in self.grid.submitted_jobs:
-            if job.speculative_of is not None:
-                families.setdefault(job.speculative_of, []).append(job)
+        submitted = self.grid.submitted_jobs
+        if jobs is None:
+            families = _group_backups(submitted, {})
+        else:
+            _group_backups(submitted[self._backups_seen:], self._backups)
+            self._backups_seen = len(submitted)
+            touched = {job.job_id if job.speculative_of is None
+                       else job.speculative_of for job in jobs}
+            families = {logical: backups
+                        for logical, backups in self._backups.items()
+                        if logical in touched}
         engine = self.grid.lifecycle
         for logical, backups in families.items():
             primary = engine.jobs.get(logical)
@@ -435,6 +511,15 @@ class Watchdog:
                     "not recorded as lost — the durability layer missed "
                     "a deregistration",
                     dataset=name, replicas=count)
+
+
+def _group_backups(jobs: Iterable[Job],
+                   families: Dict[int, List[Job]]) -> Dict[int, List[Job]]:
+    """Add each backup among ``jobs`` to the family of the job it clones."""
+    for job in jobs:
+        if job.speculative_of is not None:
+            families.setdefault(job.speculative_of, []).append(job)
+    return families
 
 
 def attach(grid: "DataGrid", interval_s: float = 300.0) -> Watchdog:

@@ -4,9 +4,10 @@
 costs one interpreted call per lookup.  The lifecycle engine and the
 watchdog's periodic check therefore index plain lists by ``state.index``.
 These tests prove it with a call counter in place of ``JobState.__hash__``
-for the whole of ``DataGrid.run`` and ``RunMetrics.from_grid``, on
-5%-scale copies of the repository benchmark's lifecycle-heavy workloads
-with the watchdog armed, so its ``audit()`` runs at every check.
+for the whole of ``DataGrid.run``, the watchdog's final ``check_now()`` and
+``RunMetrics.from_grid``, on 5%-scale copies of the repository benchmark's
+lifecycle-heavy workloads with the watchdog armed, so every periodic round
+and the full ``audit()`` run under the counter.
 """
 
 import pytest
@@ -59,6 +60,7 @@ def test_run_and_metrics_never_hash_a_job_state(name, monkeypatch):
 
     monkeypatch.setattr(JobState, "__hash__", counting_hash)
     makespan = grid.run()
+    grid.watchdog.check_now()
     metrics = RunMetrics.from_grid(grid, makespan)
     monkeypatch.undo()
 

@@ -16,6 +16,7 @@ from repro.faults import FaultPlan, LinkDegradation
 from repro.grid import DataGrid, Dataset, DatasetCollection, Job
 from repro.grid.health import SPECULATIVE_ID_BASE, HealthPolicy
 from repro.grid.lifecycle import JobState
+from repro.grid.overload import OverloadPolicy
 from repro.network import Topology
 from repro.scheduling import DataDoNothing, FIFOLocalScheduler, JobLocal
 from repro.sim import Simulator
@@ -27,7 +28,8 @@ SPEC = HealthPolicy(speculate_quantile=0.5, speculate_multiplier=2.0,
                     speculate_check_interval_s=10.0)
 
 
-def make_grid(policy=SPEC, plan=None, tracer=None):
+def make_grid(policy=SPEC, plan=None, tracer=None, processors=None,
+              overload=None):
     """A 3-site star grid (site00 is the hub and holds d0)."""
     sim = Simulator()
     topology = Topology.star(3, 10.0)
@@ -39,13 +41,14 @@ def make_grid(policy=SPEC, plan=None, tracer=None):
         external_scheduler=JobLocal(),
         local_scheduler=FIFOLocalScheduler(),
         dataset_scheduler=DataDoNothing(),
-        site_processors={name: 2 for name in topology.sites},
+        site_processors=processors or {name: 2 for name in topology.sites},
         storage_capacity_mb=10_000,
         datamover_rng=random.Random(0),
         fault_plan=plan,
         fault_rng=random.Random(0) if plan is not None else None,
         health_policy=policy,
         health_rng=random.Random(0),
+        overload_policy=overload,
         tracer=tracer,
     )
     grid.place_initial_replicas({"d0": "site00"})
@@ -179,6 +182,32 @@ class TestBoundedWaste:
         for job in grid.submitted_jobs:
             if job.speculative_of is not None:
                 assert job.speculative_of < SPECULATIVE_ID_BASE
+
+
+class TestBoundedQueues:
+    """A backup is admitted like any job: never into a full queue."""
+
+    def test_backups_of_one_tick_respect_the_queue_bound(self):
+        # Five stragglers at site00 cross the threshold on the same tick.
+        # site01 and site02 have one processor and a queue of capacity 1
+        # each, so they can take four backups between them (one running,
+        # one waiting); the fifth must not launch.
+        sim, grid = make_grid(
+            processors={"site00": 5, "site01": 1, "site02": 1},
+            overload=OverloadPolicy(queue_capacity=1))
+        attach(grid, interval_s=5.0)
+        for i in range(5):
+            sim.run(until=grid.submit(Job(
+                job_id=100 + i, user="w", origin_site="site00",
+                input_files=["d0"], runtime_s=10.0)))
+        stragglers = [Job(job_id=1 + i, user="u", origin_site="site00",
+                          input_files=["d0"], runtime_s=300.0)
+                      for i in range(5)]
+        done = [grid.submit(job) for job in stragglers]
+        sim.run(until=sim.all_of(done))
+        assert grid.health.stats.speculative_launched == 4
+        assert all(job.state is JobState.DONE for job in stragglers)
+        grid.watchdog.check_now()
 
 
 class TestNoFalseSpeculation:

@@ -148,6 +148,56 @@ class TestSeededCorruptions:
         self.expect_violation(grid, "stale-view-bounded")
 
 
+class TestRounds:
+    """The periodic round recounts only what changed since the last check."""
+
+    def test_idle_round_recounts_no_site_and_no_transfer(
+            self, small_grid, monkeypatch):
+        from repro.grid import Job
+
+        sim, grid = small_grid
+        scopes = []
+        check_storage = Watchdog._check_storage
+        check_transfers = Watchdog._check_transfers
+
+        def spy_storage(self, sites):
+            scopes.append([sites])
+            check_storage(self, sites)
+
+        def spy_transfers(self, first):
+            scopes[-1].append(len(self.grid.transfers.completed) - first)
+            check_transfers(self, first)
+
+        monkeypatch.setattr(Watchdog, "_check_storage", spy_storage)
+        monkeypatch.setattr(Watchdog, "_check_transfers", spy_transfers)
+        attach(grid, interval_s=100.0)
+        # site03 pulls d0 from site00 and runs the job before t=100.
+        done = grid.submit(Job(job_id=1, user="u", origin_site="site03",
+                               input_files=["d0"], runtime_s=10))
+        sim.run(until=done)
+        sim.run(until=350.0)
+        assert scopes == [
+            [["site00", "site01", "site02", "site03"], 1],  # first round
+            [[], 0],
+            [[], 0],
+        ]
+
+    def test_raw_write_after_first_round_caught_by_final_check(
+            self, small_grid):
+        sim, grid = small_grid
+        dog = attach(grid, interval_s=10.0)
+        sim.run(until=15.0)
+        # A direct field write moves no version, and site03 is idle, so
+        # the rounds that follow skip it; the full check recounts it.
+        grid.storages["site03"]._used_mb += 1.0
+        sim.run(until=55.0)
+        assert dog.checks_run == 5
+        with pytest.raises(InvariantViolation) as err:
+            dog.check_now()
+        assert err.value.invariant == "storage-accounting"
+        assert err.value.details["site"] == "site03"
+
+
 def _attempt(job_id, state, of=None):
     return types.SimpleNamespace(job_id=job_id, state=state,
                                  speculative_of=of)
@@ -193,6 +243,17 @@ class TestSpeculationFamilies:
             dog._check_double_completion()
         assert err.value.invariant == "no-double-completion"
         assert err.value.details["attempts"] == [0, 100, 101]
+
+    def test_round_judges_the_families_its_jobs_touch(self):
+        primary = _attempt(7, JobState.SPECULATED)
+        backup = _attempt(101, JobState.DONE, of=7)
+        dog = _family_watchdog(
+            primary, _attempt(100, JobState.DONE, of=7), backup)
+        dog._check_double_completion([])  # no attempt changed
+        for touched in ([primary], [backup]):
+            with pytest.raises(InvariantViolation) as err:
+                dog._check_double_completion(touched)
+            assert err.value.details["done"] == [100, 101]
 
     def test_live_attempt_keeps_family_open(self):
         dog = _family_watchdog(
