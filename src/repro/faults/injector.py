@@ -87,8 +87,6 @@ class FaultInjector:
         #: Job attempts killed by an outage (or data starvation) and
         #: re-dispatched by the External Scheduler.
         self.jobs_retried = 0
-        #: Jobs that exhausted their retry budget and were accounted FAILED.
-        self.jobs_failed = 0
         #: Dispatches the ES aimed at a down site that were re-routed.
         self.jobs_redirected = 0
         #: Replica records invalidated by permanent site loss.

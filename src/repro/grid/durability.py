@@ -168,7 +168,6 @@ class DurabilityStats:
         "repairs_failed",
         "repair_bytes_mb",
         "repair_latency_total_s",
-        "jobs_abandoned",
     )
 
     def __init__(self) -> None:
@@ -197,8 +196,6 @@ class DurabilityStats:
         self.repair_bytes_mb = 0.0
         #: Sum over repaired replicas of (repair done - detection time).
         self.repair_latency_total_s = 0.0
-        #: Jobs retired through the ``abandon-data-lost`` edge.
-        self.jobs_abandoned = 0
 
     @property
     def mean_repair_latency_s(self) -> float:

@@ -232,7 +232,6 @@ class DataGrid:
             datamover.overload_stats = stats
             for site in sites.values():
                 site.overload = overload_policy
-                site.overload_stats = stats
             # With a queue deadline armed, the engine's start edge
             # enforces no-starvation as a transition guard.
             grid.lifecycle.deadline_of = (
@@ -478,7 +477,6 @@ class DataGrid:
             job,
             f"queues saturated (capacity {self.overload.queue_capacity}, "
             f"{job.deflections} deflections)")
-        self.overload_stats.jobs_shed += 1
 
     @staticmethod
     def _shed_process(job: Job):
@@ -547,7 +545,8 @@ class DataGrid:
         plan's redispatch delay, until it completes or exhausts its retry
         budget and is accounted FAILED.  A ``site_hint`` (bulk
         submission) is honoured for the first attempt only, and only
-        while the hinted site is up.
+        while the hinted site is up.  Each ending the supervisor books
+        itself goes through :meth:`_book`.
         """
         faults = self.faults
         plan = faults.plan
@@ -567,18 +566,16 @@ class DataGrid:
                     # An input's every replica is gone.  Retrying cannot
                     # bring the bytes back, so the job takes its terminal
                     # edge instead of burning the retry budget.
-                    self.lifecycle.abandon_data_lost(
-                        job, lost[0],
-                        f"input dataset {lost[0]!r} unrecoverably lost")
-                    self.durability.stats.jobs_abandoned += 1
-                    return job
+                    return (yield from self._book(
+                        job, self.lifecycle.abandon_data_lost, lost[0],
+                        f"input dataset {lost[0]!r} unrecoverably lost"))
             if not faults.any_site_up():
                 if faults.grid_lost:
                     # Every site is permanently dead: recovery can never
                     # happen, so fail fast instead of waiting forever.
-                    self.lifecycle.fail(job, "all sites permanently failed")
-                    faults.jobs_failed += 1
-                    return job
+                    return (yield from self._book(
+                        job, self.lifecycle.fail,
+                        "all sites permanently failed"))
                 yield faults.recovery_event()
                 continue
             if (site_hint is not None and site_hint in self.sites
@@ -626,8 +623,7 @@ class DataGrid:
                     and self.overload.queue_capacity > 0):
                 resolved = self._resolve_saturation(job, site_name)
                 if resolved is None:
-                    self._mark_shed(job)
-                    return job
+                    return (yield from self._book(job, self._mark_shed))
                 site_name = resolved
             self.lifecycle.dispatch(job, site_name,
                                     attempt=job.retries + 1)
@@ -640,23 +636,32 @@ class DataGrid:
                 # the logical job completed through its backup clone.
                 return job
             if job.retries >= plan.job_max_retries:
-                if (self.health is not None
-                        and self.health.retire_dead_attempt(job)):
-                    # Out of budget, but a speculation partner is live
-                    # (or already DONE): the partner's outcome is the
-                    # logical job's outcome, so this attempt concedes
-                    # instead of booking a failure.
-                    return job
-                self.lifecycle.fail(
-                    job, job.failure_reason or "retries exhausted")
-                faults.jobs_failed += 1
-                return job
+                return (yield from self._book(
+                    job, self.lifecycle.fail,
+                    job.failure_reason or "retries exhausted"))
             self.lifecycle.retry(job)
             faults.jobs_retried += 1
             if redispatch is not None:
                 # Routed through the shared backoff helper; with base ==
                 # cap this is the plan's constant delay, bit for bit.
                 yield self.sim.timeout(redispatch.delay(job.retries))
+
+    def _book(self, job: Job, edge, *args):
+        """Book ``edge(job, *args)``, the job's own terminal outcome.
+
+        A backup can only win: while one is live it may still carry the
+        logical job, so the primary first waits for the race.  A backup
+        that wins concedes the primary, and its DONE is the one outcome;
+        otherwise the primary books its own.  Either way the submission
+        ends only once the logical job has its outcome.
+        """
+        race = self.health.race(job) if self.health is not None else None
+        if race is not None:
+            yield race
+            if job.state is JobState.SPECULATED:
+                return job
+        edge(job, *args)
+        return job
 
     def add_user(self, user: User) -> None:
         """Register a user (started by :meth:`run`)."""

@@ -31,11 +31,17 @@ frozen :class:`HealthPolicy`:
 * **Speculative backup execution** — a scanner watches FETCHING/RUNNING
   jobs; one whose attempt age exceeds ``speculate_multiplier`` × the
   ``speculate_quantile`` completed-duration quantile gets a *backup
-  clone* dispatched to another site.  First completion wins; the loser
-  is preempted through the transition engine's dedicated ``SPECULATED``
-  terminal edge, so jobs-conserved guards and the no-double-completion
-  watchdog invariant hold by construction.  Each logical job is
-  speculated at most once, bounding wasted work.
+  clone* dispatched to another site.  A logical job has at most one live
+  backup at a time; a primary whose backup died alone may get another.
+  The attempts of one logical job form a *family*, and its one outcome
+  follows one rule: **a backup can only win.**  A backup ends DONE or
+  retires into the ``SPECULATED`` terminal state (preempted, killed, or
+  past its queue deadline).  Whichever attempt reaches DONE retires
+  every other live attempt.  A primary that can no longer carry the job
+  (retries exhausted, input lost, shed, every site gone) first waits for
+  its live backup's race (:meth:`HealthMonitor.race`) and books its own
+  outcome only if the backup did not win; a primary past its queue
+  deadline cannot wait, so its expiry retires the live backup.
 
 Every knob defaults *off*: a grid built without a policy (or with a null
 one) takes the exact pre-health code paths, keeping the committed golden
@@ -51,16 +57,17 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.faults.backoff import BackoffPolicy
 from repro.grid.job import Job
-from repro.grid.lifecycle import JobState
+from repro.grid.lifecycle import TERMINAL_STATES, JobState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.grid import DataGrid
     from repro.network.transfer import Transfer
     from repro.sim.core import Simulator
+    from repro.sim.process import Process
 
 #: Breaker states.  Strings, not an enum: they go straight into trace
 #: detail fields and watchdog messages.
@@ -310,13 +317,12 @@ class HealthMonitor:
             jitter=policy.probe_jitter)
         # Speculation state.
         self._clone_ids = itertools.count(SPECULATIVE_ID_BASE)
-        #: primary id -> (primary, clone) for every live race.
-        self._pairs: Dict[int, Tuple[Job, Job]] = {}
-        #: clone id -> primary id.
-        self._pair_of: Dict[int, int] = {}
-        #: Primary ids that already used their one speculation (bounds
-        #: wasted work to at most one backup per logical job).
-        self._speculated: Set[int] = set()
+        #: Speculation families: primary id -> the logical job's attempts
+        #: in launch order (the primary, then each backup cloned from it).
+        self.families: Dict[int, List[Job]] = {}
+        #: primary id -> the race of its live backup (see :meth:`race`).
+        #: A primary with a live backup gets no second one.
+        self._races: Dict[int, "Process"] = {}
         #: Completed attempt durations (dispatch -> done), the straggler
         #: threshold's sample population.
         self._durations: List[float] = []
@@ -341,11 +347,6 @@ class HealthMonitor:
                                  name=f"health:beat:{name}")
             self.sim.process(self._detector_loop(), name="health:detector")
         if self.policy.speculate_quantile > 0:
-            if grid.dag is not None:
-                raise ValueError(
-                    "speculation is incompatible with DAG workloads "
-                    "(dependency release keys on the primary reaching "
-                    "DONE)")
             grid.lifecycle.hooks.append(self._on_transition)
             self.sim.process(self._straggler_loop(),
                              name="health:speculator")
@@ -573,7 +574,7 @@ class HealthMonitor:
                 for job in engine.jobs_in(state):
                     if job.speculative_of is not None:
                         continue  # backups never speculate
-                    if job.job_id in self._speculated:
+                    if job.job_id in self._races:
                         continue
                     started = self._attempt_started(job)
                     if started is None or now - started < threshold:
@@ -612,9 +613,7 @@ class HealthMonitor:
             deadline_s=primary.deadline_s,
             speculative_of=primary.job_id,
         )
-        self._speculated.add(primary.job_id)
-        self._pairs[primary.job_id] = (primary, clone)
-        self._pair_of[clone.job_id] = primary.job_id
+        self.families.setdefault(primary.job_id, [primary]).append(clone)
         self.stats.speculative_launched += 1
         self._emit("job.speculated", job=primary.job_id,
                    clone=clone.job_id, site=site_name)
@@ -626,107 +625,69 @@ class HealthMonitor:
         # Enqueued now, not in the waiting process, so the next launch of
         # this tick sees the clone in the site's load.
         execution = grid.sites[site_name].enqueue(clone)
-        self.sim.process(self._run_backup(primary, clone, execution),
-                         name=f"health:backup:{clone.job_id}")
+        self._races[primary.job_id] = self.sim.process(
+            self._run_backup(primary, clone, execution),
+            name=f"health:backup:{clone.job_id}")
 
     def _run_backup(self, primary: Job, clone: Job, execution):
         yield execution
-        # The race is settled when the backup attempt returns: either it
-        # won (DONE — the transition hook preempted the primary), lost
-        # (SPECULATED — the primary's finish preempted it), or died on
-        # its own (outage kill -> RETRYING, deadline -> EXPIRED).
+        # The backup attempt returned: it won (DONE), or it retired into
+        # SPECULATED (preempted, or past its queue deadline), or it was
+        # killed.  A backup is never retried, so a killed one retires
+        # here; the primary still carries the logical job.
         if clone.state is JobState.RETRYING:
-            # Backups are never retried; retire the attempt for good —
-            # as a race concession while the primary can still carry
-            # the logical job, as a failure only when it cannot.
-            if not self.retire_dead_attempt(clone):
-                self.grid.lifecycle.fail(
-                    clone, clone.failure_reason or "backup attempt killed")
-        self._pairs.pop(primary.job_id, None)
-        self._pair_of.pop(clone.job_id, None)
-        if (clone.state is not JobState.DONE
-                and primary.state not in (JobState.DONE,
-                                          JobState.SPECULATED)):
-            # The backup died alone: the (still live) primary becomes
-            # eligible for one more speculation.
-            self._speculated.discard(primary.job_id)
-
-    def retire_dead_attempt(self, job: Job) -> bool:
-        """Concede a permanently-dead RETRYING attempt, if possible.
-
-        Called instead of ``fail`` when one half of a speculation pair
-        is out of budget.  True iff the attempt was retired through the
-        RETRYING -> SPECULATED concede edge, which happens when the
-        partner's outcome is (or will be) the logical job's outcome:
-
-        * partner DONE — the race was already lost;
-        * partner still live — it carries the job from here on;
-        * partner FAILED/EXPIRED and *this* attempt is the backup — the
-          primary's ending is the booked one, a second terminal failure
-          would double-count the family.
-
-        A primary whose backup already retired keeps its own failure
-        (returns False; the caller books it).
-        """
-        other = self._counterpart(job)
-        if other is None:
-            return False
-        if other.state in (JobState.FAILED, JobState.EXPIRED,
-                           JobState.SHED):
-            if job.speculative_of is None:
-                return False
             self.grid.lifecycle.concede(
-                job, "backup retired; the primary's ending stands")
-            return True
-        if other.state is JobState.SPECULATED:
-            # The partner already conceded expecting *us* to carry the
-            # job; someone must own the terminal outcome.
-            return False
-        reason = ("speculation race lost" if other.state is JobState.DONE
-                  else "retry budget exhausted; partner carries the job")
-        self.grid.lifecycle.concede(job, reason)
-        return True
+                clone, clone.failure_reason or "backup attempt killed")
+        del self._races[primary.job_id]
 
-    def _counterpart(self, job: Job) -> Optional[Job]:
-        primary_id = self._pair_of.get(job.job_id)
-        if primary_id is not None:
-            pair = self._pairs.get(primary_id)
-            return pair[0] if pair is not None else None
-        pair = self._pairs.get(job.job_id)
-        return pair[1] if pair is not None else None
+    def race(self, primary: Job) -> Optional["Process"]:
+        """The race of ``primary``'s live backup (None without one).
+
+        The process ends when that backup has either won (retiring
+        ``primary``) or retired into SPECULATED itself.  A primary that
+        can no longer carry its job waits for it before booking an
+        outcome.
+        """
+        return self._races.get(primary.job_id)
 
     def _on_transition(self, job: Job, src: JobState, dst: JobState,
                        edge: str, now: float) -> None:
-        """Transition-engine hook (registered only with speculation on)."""
-        if dst is JobState.DONE:
-            started = self._attempt_started(job)
-            if started is not None:
-                self._durations.append(now - started)
-            other = self._counterpart(job)
-            if other is not None:
-                if other.state in (JobState.FETCHING, JobState.RUNNING):
-                    site = self.grid.sites.get(other.execution_site)
-                    if site is not None:
-                        site.preempt_attempt(other)
-                elif other.state in (JobState.READY, JobState.RETRYING):
-                    # Mid-retry (backoff or parked): there is no live
-                    # attempt to preempt, so concede directly — the
-                    # recovery supervisor observes SPECULATED on its
-                    # next wake-up and stops re-dispatching.
-                    self.grid.lifecycle.concede(
-                        other, "speculation race lost")
-        elif dst is JobState.SPECULATED:
+        """Transition-engine hook (registered only with speculation on).
+
+        The attempt that books its logical job's one outcome retires
+        every other live attempt: a DONE from either side, or any other
+        terminal edge of the primary (in practice a queue-deadline
+        expiry, the one ending that cannot wait for the race).
+        """
+        if dst is JobState.SPECULATED:
             self.stats.speculative_losers += 1
             started = self._attempt_started(job)
             if started is not None:
                 self.stats.speculative_wasted_s += now - started
-        elif dst in (JobState.FAILED, JobState.EXPIRED):
-            pair = self._pairs.get(job.job_id)
-            if pair is not None and pair[1].state in (JobState.FETCHING,
-                                                      JobState.RUNNING):
-                # The primary is being written off for good; a backup
-                # completing later would contradict the accounting, so
-                # cancel the race.
-                site = self.grid.sites.get(pair[1].execution_site)
+        elif dst is JobState.DONE:
+            started = self._attempt_started(job)
+            if started is not None:
+                self._durations.append(now - started)
+        primary_id = job.speculative_of
+        if primary_id is None:
+            if dst not in TERMINAL_STATES:
+                return
+            primary_id = job.job_id
+        elif dst is not JobState.DONE:
+            return
+        family = self.families.get(primary_id)
+        if family is None:
+            return
+        for other in family:
+            if other is job:
+                continue
+            state = other.state
+            if state is JobState.FETCHING or state is JobState.RUNNING:
+                site = self.grid.sites.get(other.execution_site)
                 if site is not None:
-                    site.preempt_attempt(pair[1])
+                    site.preempt_attempt(other)
+            elif state is JobState.READY or state is JobState.RETRYING:
+                # No attempt in flight (retry backoff, parked, or waiting
+                # for this race): concede directly; the recovery
+                # supervisor sees SPECULATED when it wakes.
+                self.grid.lifecycle.concede(other, "speculation race lost")

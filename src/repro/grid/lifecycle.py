@@ -31,8 +31,10 @@ State diagram (see ``docs/architecture.md`` for the rendered table)::
 
 Speculative backup execution (the health layer) adds one more terminal
 state: ``fetching``/``running`` --preempt--> ``SPECULATED`` retires the
-losing attempt of a speculation race, so exactly one attempt per logical
-job ever reaches ``DONE``.
+losing attempt of a speculation race (or a backup past its queue
+deadline), and ``ready``/``retrying`` --concede--> ``SPECULATED`` retires
+an attempt with nothing in flight, so each logical job books exactly one
+outcome other than ``SPECULATED``.
 
 The durability layer (:mod:`repro.grid.durability`) adds one more:
 ``waiting``/``ready``/``retrying`` --abandon-data-lost-->
@@ -117,16 +119,16 @@ TRANSITIONS: Dict[Tuple[JobState, JobState], str] = {
     # Speculative backup execution: when two attempts of one logical job
     # race, the loser — primary or backup, fetching or mid-compute — is
     # preempted into the absorbing SPECULATED state, so exactly one DONE
-    # exists per logical job and conservation counts still balance.
+    # exists per logical job and conservation counts still balance.  A
+    # backup past its queue deadline retires along the same edge.
     (JobState.FETCHING, JobState.SPECULATED): "preempt",
     (JobState.RUNNING, JobState.SPECULATED): "preempt",
     (JobState.RETRYING, JobState.READY): "retry",
     (JobState.RETRYING, JobState.FAILED): "fail",
-    # An attempt in a speculation pair that can no longer win — dead for
-    # good (budget exhausted, unretryable backup) with a live partner,
-    # or mid-retry (READY in backoff/parked) when the partner completes
-    # — concedes the race instead of failing: the logical job is not
-    # failed, the other attempt's outcome is its outcome.
+    # An attempt with nothing in flight concedes instead of failing: a
+    # killed backup (never retried; the primary carries the job), or a
+    # primary in retry backoff, parked, or waiting for the race when its
+    # backup reaches DONE.
     (JobState.RETRYING, JobState.SPECULATED): "concede",
     (JobState.READY, JobState.SPECULATED): "concede",
     # Unrecoverable data loss: the durability layer marked an input
@@ -458,12 +460,17 @@ class TransitionEngine:
                    fetched_mb=job.fetched_mb)
 
     def expire(self, job: "Job", site: str, deadline_s: float) -> None:
-        """FETCHING -> EXPIRED: the queue deadline passed first."""
+        """FETCHING -> EXPIRED: the queue deadline passed first.
+
+        A speculative backup can only win, so it retires along the
+        preempt edge instead: its primary still carries the logical job.
+        """
+        reason = f"queue deadline ({deadline_s:g} s) exceeded at {site!r}"
+        if job.speculative_of is not None:
+            self.preempt(job, site, reason)
+            return
         waited_s = self.now - (job.queued_at or 0.0)
-        self.transition(
-            job, JobState.EXPIRED,
-            reason=(f"queue deadline ({deadline_s:g} s) exceeded at "
-                    f"{site!r}"))
+        self.transition(job, JobState.EXPIRED, reason=reason)
         self._emit("job.expired", job=job.job_id, site=site,
                    deadline_s=deadline_s, waited_s=waited_s)
 
@@ -491,30 +498,33 @@ class TransitionEngine:
         self.transition(job, JobState.RETRYING, reason=reason)
 
     def preempt(self, job: "Job", site: str, reason: str) -> None:
-        """FETCHING/RUNNING -> SPECULATED: lost a speculation race.
+        """FETCHING/RUNNING -> SPECULATED: an attempt retired mid-flight.
 
-        The surviving attempt's ``finish`` carries the logical job's
-        completion; the loser is retired here so it is never retried and
-        never double-counted as DONE.
+        The loser of a speculation race, or a backup past its queue
+        deadline.  Another attempt carries the logical job's outcome; the
+        loser is retired here so it is never retried and never
+        double-counted.
         """
         self.transition(job, JobState.SPECULATED, reason=reason)
-        self._emit("job.preempted_loser", job=job.job_id, site=site,
-                   primary=job.speculative_of or job.job_id,
-                   reason=reason)
+        self._emit_loser(job, site, reason)
 
     def concede(self, job: "Job", reason: str) -> None:
-        """RETRYING -> SPECULATED: a dead attempt concedes the race.
+        """READY/RETRYING -> SPECULATED: an attempt with nothing in
+        flight retires.
 
-        Used when one attempt of a speculation pair is permanently out
-        (retry budget gone, or an unretryable backup was killed) while
-        its partner is still live or already DONE: the partner carries
-        the logical job, so this attempt must not count as a failure.
+        A killed backup (backups are never retried), or an idle attempt
+        of a family whose outcome another attempt just booked.
         """
         self.transition(job, JobState.SPECULATED, reason=reason)
-        self._emit("job.preempted_loser", job=job.job_id,
-                   site=job.execution_site or "",
-                   primary=job.speculative_of or job.job_id,
-                   reason=reason)
+        self._emit_loser(job, job.execution_site or "", reason)
+
+    def _emit_loser(self, job: "Job", site: str, reason: str) -> None:
+        if self.tracer is not None:
+            primary = job.speculative_of
+            self.tracer.emit(
+                self.now, "job.preempted_loser", job=job.job_id, site=site,
+                primary=job.job_id if primary is None else primary,
+                reason=reason)
 
     def abandon_data_lost(self, job: "Job", dataset: str,
                           reason: str) -> None:

@@ -121,22 +121,17 @@ class OverloadPolicy:
 class SaturationStats:
     """Shared mutable saturation counters for one grid run.
 
-    One instance is wired into the grid, every site, and the data mover
-    so the metrics layer has a single place to read.  Plain attributes,
+    One instance is wired into the grid and the data mover so the
+    metrics layer has a single place to read.  Plain attributes,
     no simulator events — updating a counter can never perturb event
     order.
     """
 
-    __slots__ = ("jobs_shed", "jobs_deflected", "jobs_expired",
-                 "degraded_dispatches", "remote_reads")
+    __slots__ = ("jobs_deflected", "degraded_dispatches", "remote_reads")
 
     def __init__(self) -> None:
-        #: Jobs refused admission (queues full, deflect budget spent).
-        self.jobs_shed = 0
         #: Deflection events (a job may be deflected more than once).
         self.jobs_deflected = 0
-        #: Jobs whose queue wait exceeded the deadline.
-        self.jobs_expired = 0
         #: Placements decided by the degraded-mode fallback selector.
         self.degraded_dispatches = 0
         #: Pinned fetches degraded to streaming reads (nothing stored).

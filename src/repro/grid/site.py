@@ -100,12 +100,11 @@ class Site:
         #: job id -> its live execution process, for targeted preemption
         #: (speculation races).  Maintained alongside ``_alive``.
         self._attempts_by_job: Dict[int, Process] = {}
-        #: Overload policy + shared saturation counters, installed by the
-        #: grid when an :class:`~repro.grid.overload.OverloadPolicy` is
-        #: active.  ``None`` keeps execution on the exact pre-overload
-        #: code paths (no deadlines, no aging, unpin-by-input-list).
+        #: Overload policy, installed by the grid when an
+        #: :class:`~repro.grid.overload.OverloadPolicy` is active.
+        #: ``None`` keeps execution on the exact pre-overload code paths
+        #: (no deadlines, no aging, unpin-by-input-list).
         self.overload = None
-        self.overload_stats = None
         #: Observed-health monitor (``None`` = off; installed by the
         #: grid when a :class:`~repro.grid.health.HealthPolicy` is
         #: active).  Its only effect here is that attempts become
@@ -195,11 +194,9 @@ class Site:
         return self.overload.job_deadline_s
 
     def _expire(self, job: Job, deadline: float) -> None:
-        """Terminal queue-deadline expiry: count, trace, account."""
+        """Terminal queue-deadline expiry."""
         self.jobs_in_system -= 1
         self.lifecycle.expire(job, self.name, deadline)
-        if self.overload_stats is not None:
-            self.overload_stats.jobs_expired += 1
 
     def _track(self, process: Process, job: Job) -> None:
         self._alive[process] = None

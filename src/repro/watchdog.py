@@ -41,10 +41,14 @@ Invariants checked:
 * **no-starvation** — with a queue deadline set, no job still waits in a
   queue beyond its deadline (the expiry machinery must have fired).
 * **no-double-completion** — with the health layer's speculation armed,
-  the attempts of one logical job (the primary and every backup cloned
-  from it) hold at most one DONE: the transition hook must have
-  preempted each loser into SPECULATED.  A family whose attempts are
-  all SPECULATED lost the logical job on every side.
+  the attempts of one logical job (its *family*: the primary and every
+  backup cloned from it) book one outcome.  No two attempts may be in a
+  terminal state other than SPECULATED, and once every attempt is
+  terminal exactly one must be: a family whose attempts are all
+  SPECULATED lost the logical job on every side.  Only a terminal edge
+  can break this, so it is judged on the edge: a hook that
+  :meth:`Watchdog.install` adds when speculation is armed checks the
+  family of every attempt that ends, at the time of that transition.
 * **breaker-state-sane** — the health layer's site breakers and the
   information service agree: every open/half-open breaker's site is
   hidden (suspected) and every closed breaker's site is advertised.
@@ -69,17 +73,18 @@ check:
   ``audit(live_only=True)`` instead of its O(jobs) recount;
 * transfers-consistent over the transfers completed since, plus the
   active ones;
-* the deflection budget and the speculation families over the jobs
-  submitted since, plus the jobs that were live at the previous check.
+* the deflection budget over the jobs submitted since, plus the jobs
+  that were live at the previous check.
 
 Everything else (site loads, no-starvation, breakers, the stale view,
 catalog-durability) is checked whole every time: it is cheap, or it
-depends on the clock.  A round skips only state that no public method
-has touched, so it raises what ``check_now()`` would raise at that
-instant.  A direct write to a field (``StorageElement._used_mb`` or
-``capacity_mb``, say) bumps no version: a round after it may miss the
-damage at a site that is otherwise idle, and the final ``check_now()``
-catches it.
+depends on the clock.  Rounds leave the speculation families to the
+edge hook, and ``check_now()`` judges every family again.  A round
+skips only state that no public method has touched, so it raises what
+``check_now()`` would raise at that instant.  A direct write to a field
+(``StorageElement._used_mb`` or ``capacity_mb``, say) bumps no version:
+a round after it may miss the damage at a site that is otherwise idle,
+and the final ``check_now()`` catches it.
 
 The watchdog is **off by default** (a watchdog-less run is bitwise
 identical to a pre-watchdog build) and *always on in tests*: the test
@@ -91,7 +96,7 @@ event count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.grid.job import Job, JobState
 from repro.grid.lifecycle import TERMINAL_STATES
@@ -181,14 +186,18 @@ class Watchdog:
         self._completed_seen = 0
         self._submitted_seen = 0
         self._live_jobs: List[Job] = []
-        #: Backups grouped by the job they clone, grown over
-        #: ``submitted_jobs[:_backups_seen]`` (speculation families).
-        self._backups: Dict[int, List[Job]] = {}
-        self._backups_seen = 0
 
     def install(self) -> "Watchdog":
-        """Register on the grid and start the periodic check process."""
-        self.grid.watchdog = self
+        """Register on the grid and start the periodic check process.
+
+        With speculation armed, also hook the lifecycle engine so every
+        attempt that ends has its family judged on that edge.
+        """
+        grid = self.grid
+        grid.watchdog = self
+        health = grid.health
+        if health is not None and health.policy.speculate_quantile > 0:
+            grid.lifecycle.hooks.append(self._on_transition)
         self.sim.process(self._loop(), name="watchdog")
         return self
 
@@ -224,7 +233,9 @@ class Watchdog:
         self._check_queue_bounds(jobs)
         self._check_overcommit(sites)
         self._check_starvation()
-        self._check_double_completion(None if full else jobs)
+        if full and grid.health is not None:
+            for family in grid.health.families.values():
+                self._check_family(family)
         self._check_breaker_state()
         self._check_catalog_durability()
         self._site_versions = versions
@@ -409,67 +420,61 @@ class Watchdog:
         # Only FETCHING jobs can starve in a queue, so scan the engine's
         # per-state id-set instead of every job ever submitted.  (The
         # engine additionally enforces this invariant on every ``start``
-        # edge via its deadline guard.)
-        for job in engine.jobs_in(JobState.FETCHING):
+        # edge via its deadline guard.)  The set is unordered: of several
+        # starving jobs, the one with the lowest id is reported.
+        starving = None
+        for jid in engine.by_state[JobState.FETCHING.index]:
+            job = engine.jobs[jid]
             deadline = (job.deadline_s if job.deadline_s is not None
                         else policy.job_deadline_s)
-            if deadline <= 0:
-                continue
-            if (job.processor_at is None and job.queued_at is not None
-                    and now - job.queued_at > deadline + _MB_EPSILON):
-                self._fail(
-                    "no-starvation",
-                    f"job {job.job_id} has waited "
-                    f"{now - job.queued_at:.3f} s in the queue at "
-                    f"{job.execution_site!r}, past its {deadline:g} s "
-                    "deadline",
-                    job=job.job_id, waited_s=now - job.queued_at,
-                    deadline_s=deadline)
+            if (deadline > 0 and job.processor_at is None
+                    and job.queued_at is not None
+                    and now - job.queued_at > deadline + _MB_EPSILON
+                    and (starving is None or jid < starving[0].job_id)):
+                starving = job, deadline
+        if starving is not None:
+            job, deadline = starving
+            self._fail(
+                "no-starvation",
+                f"job {job.job_id} has waited "
+                f"{now - job.queued_at:.3f} s in the queue at "
+                f"{job.execution_site!r}, past its {deadline:g} s "
+                "deadline",
+                job=job.job_id, waited_s=now - job.queued_at,
+                deadline_s=deadline)
 
+    def _on_transition(self, job: Job, src: JobState, dst: JobState,
+                       edge: str, now: float) -> None:
+        """Lifecycle hook: judge the family of an attempt that ended."""
+        if dst in TERMINAL_STATES:
+            primary = job.speculative_of
+            family = self.grid.health.families.get(
+                job.job_id if primary is None else primary)
+            if family is not None:
+                self._check_family(family)
 
-    def _check_double_completion(
-            self, jobs: Optional[List[Job]] = None) -> None:
-        """Judge the families with an attempt among ``jobs`` (default:
-        every family)."""
-        health = self.grid.health
-        if health is None:
-            return
-        # One family per logical job: the primary and every backup cloned
-        # from it.  A family may hold several SPECULATED attempts (a
-        # backup that conceded, then the primary beaten by a second
-        # backup), so only the family as a whole can be judged.
-        submitted = self.grid.submitted_jobs
-        if jobs is None:
-            families = _group_backups(submitted, {})
-        else:
-            _group_backups(submitted[self._backups_seen:], self._backups)
-            self._backups_seen = len(submitted)
-            touched = {job.job_id if job.speculative_of is None
-                       else job.speculative_of for job in jobs}
-            families = {logical: backups
-                        for logical, backups in self._backups.items()
-                        if logical in touched}
-        engine = self.grid.lifecycle
-        for logical, backups in families.items():
-            primary = engine.jobs.get(logical)
-            if primary is None:
-                continue
-            attempts = [primary, *backups]
-            ids = [job.job_id for job in attempts]
-            done = [job.job_id for job in attempts
-                    if job.state is JobState.DONE]
-            if len(done) > 1:
-                self._fail(
-                    "no-double-completion",
-                    f"logical job {logical} has {len(done)} attempts DONE "
-                    f"({done})",
-                    logical_job=logical, attempts=ids, done=done)
-            if all(job.state is JobState.SPECULATED for job in attempts):
-                self._fail(
-                    "no-double-completion",
-                    f"logical job {logical} lost every attempt ({ids}) — "
-                    "nobody completed it",
-                    logical_job=logical, attempts=ids)
+    def _check_family(self, family: List[Job]) -> None:
+        """no-double-completion over one logical job's attempts (the
+        primary first, then its backups in launch order)."""
+        logical = family[0].job_id
+        ids = [job.job_id for job in family]
+        outcomes = {job.job_id: job.state.value for job in family
+                    if job.state in TERMINAL_STATES
+                    and job.state is not JobState.SPECULATED}
+        if len(outcomes) > 1:
+            self._fail(
+                "no-double-completion",
+                f"logical job {logical} has {len(outcomes)} outcomes "
+                f"({outcomes})",
+                logical_job=logical, attempts=ids, outcomes=outcomes,
+                done=[jid for jid, state in outcomes.items()
+                      if state == JobState.DONE.value])
+        if all(job.state is JobState.SPECULATED for job in family):
+            self._fail(
+                "no-double-completion",
+                f"logical job {logical} lost every attempt ({ids}) — "
+                "nobody completed it",
+                logical_job=logical, attempts=ids)
 
     def _check_breaker_state(self) -> None:
         health = self.grid.health
@@ -511,15 +516,6 @@ class Watchdog:
                     "not recorded as lost — the durability layer missed "
                     "a deregistration",
                     dataset=name, replicas=count)
-
-
-def _group_backups(jobs: Iterable[Job],
-                   families: Dict[int, List[Job]]) -> Dict[int, List[Job]]:
-    """Add each backup among ``jobs`` to the family of the job it clones."""
-    for job in jobs:
-        if job.speculative_of is not None:
-            families.setdefault(job.speculative_of, []).append(job)
-    return families
 
 
 def attach(grid: "DataGrid", interval_s: float = 300.0) -> Watchdog:

@@ -313,6 +313,37 @@ class TestTypedEdges:
         assert tracer.records[-1].kind == "job.preempted_loser"
         assert tracer.records[-1].detail["primary"] == 7
 
+    def test_preempted_backup_of_job_zero_names_its_primary(self):
+        # Job ids start at 0: the primary field must not fall back to
+        # the backup's own id when it clones job 0.
+        engine, tracer = traced_engine()
+        clone = make_job(job_id=1_000_000_000)
+        clone.speculative_of = 0
+        engine.submit(clone)
+        engine.dispatch(clone, "site02")
+        engine.enqueue(clone, "site02", waiting=0)
+        engine.preempt(clone, "site02", "primary finished first")
+        assert tracer.records[-1].detail["primary"] == 0
+
+    def test_backup_expiry_retires_along_the_preempt_edge(self):
+        engine, tracer = traced_engine()
+        hooked = []
+        engine.hooks.append(lambda job, src, dst, edge, now:
+                            hooked.append(edge))
+        clone = make_job(job_id=1_000_000_000)
+        clone.speculative_of = 0
+        engine.submit(clone)
+        engine.dispatch(clone, "site02")
+        engine.enqueue(clone, "site02", waiting=0)
+        engine.expire(clone, "site02", deadline_s=60.0)
+        assert clone.state is JobState.SPECULATED
+        assert hooked[-1] == "preempt"
+        assert "queue deadline" in clone.failure_reason
+        record = tracer.records[-1]
+        assert record.kind == "job.preempted_loser"
+        assert record.detail["primary"] == 0
+        assert not any(r.kind == "job.expired" for r in tracer.records)
+
     def test_preempt_works_mid_fetch(self):
         engine, tracer = traced_engine()
         job = make_job()
@@ -342,6 +373,15 @@ class TestTypedEdges:
         engine.submit(parked)
         engine.concede(parked, "speculation race lost")
         assert parked.state is JobState.SPECULATED
+
+        killed = make_job(job_id=1_000_000_000)
+        killed.speculative_of = 0
+        engine.submit(killed)
+        engine.dispatch(killed, "site01")
+        engine.enqueue(killed, "site01", waiting=0)
+        engine.kill(killed, "site crashed")
+        engine.concede(killed, "backup attempt killed")
+        assert tracer.records[-1].detail["primary"] == 0
 
     def test_replacement_self_edges(self):
         engine, tracer = traced_engine()

@@ -57,9 +57,7 @@ class TestPolicy:
 
     def test_stats_start_at_zero(self):
         stats = SaturationStats()
-        assert stats.jobs_shed == 0
         assert stats.jobs_deflected == 0
-        assert stats.jobs_expired == 0
         assert stats.degraded_dispatches == 0
         assert stats.remote_reads == 0
 
@@ -110,8 +108,7 @@ class TestNullWiring:
         assert grid.overload is policy
         assert grid.datamover.overload is policy
         assert all(s.overload is policy for s in grid.sites.values())
-        assert all(s.overload_stats is grid.overload_stats
-                   for s in grid.sites.values())
+        assert grid.datamover.overload_stats is grid.overload_stats
 
 
 class TestBoundedQueues:
@@ -139,7 +136,7 @@ class TestBoundedQueues:
         jobs = [job(0), job(1), job(2)]
         processes = [grid.submit(j) for j in jobs]
         assert jobs[2].state is JobState.SHED
-        assert grid.overload_stats.jobs_shed == 1
+        assert grid.shed_jobs == [jobs[2]]
         assert "queues saturated" in jobs[2].failure_reason
         assert any(r.kind == "job.shed" for r in grid.tracer.records)
         # The shed job's execution process completes immediately with
@@ -186,7 +183,7 @@ class TestDeadlines:
         assert sim.now == pytest.approx(50.0)
         assert second.state is JobState.EXPIRED
         assert "deadline" in second.failure_reason
-        assert grid.overload_stats.jobs_expired == 1
+        assert grid.expired_jobs == [second]
         record = next(r for r in grid.tracer.records
                       if r.kind == "job.expired")
         assert record.detail["waited_s"] == pytest.approx(50.0)
@@ -241,7 +238,7 @@ class TestDeadlines:
         assert site.load == 0
         sim.run()
         assert first.state is JobState.DONE
-        assert grid.overload_stats.jobs_expired == 1
+        assert grid.expired_jobs == [second]
         assert all(s.jobs_in_system == 0 for s in grid.sites.values())
 
 

@@ -6,13 +6,17 @@ duration sample the straggler threshold needs; a deliberately slow job
 threshold and gets one backup clone.  First completion wins through the
 transition engine's SPECULATED edge, the loser is preempted at the same
 timestamp, and the no-double-completion watchdog invariant holds.
+
+The rule behind every scenario: a backup can only win.  It ends DONE
+or retires SPECULATED; a primary that can no longer carry its job waits
+for its live backup's race before booking its own outcome.
 """
 
 import random
 
 import pytest
 
-from repro.faults import FaultPlan, LinkDegradation
+from repro.faults import FaultPlan, LinkDegradation, ReplicaLoss, SiteOutage
 from repro.grid import DataGrid, Dataset, DatasetCollection, Job
 from repro.grid.health import SPECULATIVE_ID_BASE, HealthPolicy
 from repro.grid.lifecycle import JobState
@@ -208,6 +212,92 @@ class TestBoundedQueues:
         assert grid.health.stats.speculative_launched == 4
         assert all(job.state is JobState.DONE for job in stragglers)
         grid.watchdog.check_now()
+
+
+def _family(grid, primary):
+    return grid.health.families[primary.job_id]
+
+
+class TestBackupExpiry:
+    def test_backup_expiring_in_a_queue_retires_speculated(self):
+        # site01 and site02 each run one long blocker, so every backup
+        # queues behind it and its deadline passes while the primary
+        # (with a free processor at site00) runs on and finishes.
+        sim, grid = make_grid(
+            processors={"site00": 2, "site01": 1, "site02": 1},
+            overload=OverloadPolicy(job_deadline_s=100.0))
+        attach(grid, interval_s=50.0)
+        warm_up(sim, grid)
+        blockers = [Job(job_id=200 + i, user="b", origin_site=site,
+                        input_files=["d0"], runtime_s=1_000.0)
+                    for i, site in enumerate(("site01", "site02"))]
+        straggler = Job(job_id=0, user="u", origin_site="site00",
+                        input_files=["d0"], runtime_s=300.0)
+        done = [grid.submit(job) for job in [*blockers, straggler]]
+        sim.run(until=sim.all_of(done))
+        backups = _family(grid, straggler)[1:]
+        assert straggler.state is JobState.DONE
+        assert len(backups) >= 2
+        assert all(b.state is JobState.SPECULATED for b in backups)
+        assert any("queue deadline" in b.failure_reason for b in backups)
+        assert grid.expired_jobs == []
+        assert (grid.health.stats.speculative_losers
+                == grid.health.stats.speculative_launched)
+        grid.watchdog.check_now()
+
+
+class TestPrimaryThatCannotCarryTheJob:
+    """A primary that can no longer carry its job while its backup runs.
+
+    The primary fetches d0 to site01 and computes for 300 s; at t=50 its
+    backup starts computing at site00, next to the data, and would finish
+    at t=350.  At t=120 site01 fails and kills the primary.  Either d0
+    has lost every replica (t=100), so re-dispatch finds its input gone,
+    or the primary has no retries left.  A site00 outage at t=200, when
+    armed, kills the backup too.
+    """
+
+    LOSSES = (ReplicaLoss("site00", "d0", 100.0),
+              ReplicaLoss("site01", "d0", 100.0))
+
+    def run(self, input_lost, backup_dies):
+        outages = [SiteOutage("site01", 120.0, 100_000.0)]
+        if backup_dies:
+            outages.append(SiteOutage("site00", 200.0, 100_000.0))
+        plan = FaultPlan(
+            site_outages=tuple(outages),
+            replica_losses=self.LOSSES if input_lost else (),
+            job_max_retries=3 if input_lost else 0,
+            redispatch_delay_s=10.0)
+        sim, grid = make_grid(plan=plan)
+        attach(grid, interval_s=50.0)
+        warm_up(sim, grid)
+        primary = Job(job_id=0, user="u", origin_site="site01",
+                      input_files=["d0"], runtime_s=300.0)
+        sim.run(until=grid.submit(primary))
+        family = _family(grid, primary)
+        assert len(family) == 2
+        grid.watchdog.check_now()
+        return sim, grid, primary, family[1]
+
+    @pytest.mark.parametrize("input_lost", [True, False])
+    def test_backup_wins_and_the_primary_concedes(self, input_lost):
+        sim, grid, primary, backup = self.run(input_lost, backup_dies=False)
+        assert backup.state is JobState.DONE
+        assert primary.state is JobState.SPECULATED
+        assert grid.failed_jobs == [] and grid.abandoned_jobs == []
+        # The submission ended with the logical job's outcome, not when
+        # the primary gave up.
+        assert sim.now == backup.completed_at
+
+    @pytest.mark.parametrize("input_lost, outcome", [
+        (True, JobState.ABANDONED_DATA_LOST), (False, JobState.FAILED)])
+    def test_backup_dies_and_the_primary_books_its_own(self, input_lost,
+                                                       outcome):
+        sim, grid, primary, backup = self.run(input_lost, backup_dies=True)
+        assert backup.state is JobState.SPECULATED
+        assert primary.state is outcome
+        assert sim.now == 200.0
 
 
 class TestNoFalseSpeculation:

@@ -203,64 +203,110 @@ def _attempt(job_id, state, of=None):
                                  speculative_of=of)
 
 
-def _family_watchdog(*attempts):
-    """A watchdog over a stub grid holding speculation attempts only."""
-    grid = types.SimpleNamespace(
-        health=object(), tracer=None, submitted_jobs=list(attempts),
-        lifecycle=types.SimpleNamespace(
-            jobs={job.job_id: job for job in attempts}))
-    return Watchdog(Simulator(), grid)
+def _judge(*family):
+    """Judge one family (the primary first) as ``check_now()`` does."""
+    grid = types.SimpleNamespace(tracer=None)
+    Watchdog(Simulator(), grid)._check_family(list(family))
 
 
 class TestSpeculationFamilies:
-    """no-double-completion judges a logical job's attempts together."""
+    """no-double-completion judges a logical job's attempts together:
+    at most one ends in a terminal state other than SPECULATED, and
+    exactly one once every attempt has ended."""
 
     def test_conceded_then_won_family_passes(self):
-        # The first backup conceded, a second backup then beat the
+        # The first backup retired, a second backup then beat the
         # primary: two SPECULATED attempts, one DONE.
-        dog = _family_watchdog(
-            _attempt(0, JobState.SPECULATED),
-            _attempt(100, JobState.SPECULATED, of=0),
-            _attempt(101, JobState.DONE, of=0))
-        dog._check_double_completion()
+        _judge(_attempt(0, JobState.SPECULATED),
+               _attempt(100, JobState.SPECULATED, of=0),
+               _attempt(101, JobState.DONE, of=0))
 
     def test_two_done_attempts_fail(self):
-        dog = _family_watchdog(
-            _attempt(7, JobState.SPECULATED),
-            _attempt(100, JobState.DONE, of=7),
-            _attempt(101, JobState.DONE, of=7))
         with pytest.raises(InvariantViolation) as err:
-            dog._check_double_completion()
+            _judge(_attempt(7, JobState.SPECULATED),
+                   _attempt(100, JobState.DONE, of=7),
+                   _attempt(101, JobState.DONE, of=7))
         assert err.value.invariant == "no-double-completion"
         assert err.value.details["done"] == [100, 101]
 
-    def test_every_attempt_lost_fails(self):
-        dog = _family_watchdog(
-            _attempt(0, JobState.SPECULATED),
-            _attempt(100, JobState.SPECULATED, of=0),
-            _attempt(101, JobState.SPECULATED, of=0))
+    @pytest.mark.parametrize("ending", [JobState.ABANDONED_DATA_LOST,
+                                        JobState.EXPIRED, JobState.FAILED])
+    def test_done_and_a_failure_fail(self, ending):
+        # The primary booked its own ending while its backup finished.
         with pytest.raises(InvariantViolation) as err:
-            dog._check_double_completion()
+            _judge(_attempt(55, ending),
+                   _attempt(1_000_000_056, JobState.DONE, of=55))
+        assert err.value.invariant == "no-double-completion"
+        assert err.value.details["done"] == [1_000_000_056]
+        assert err.value.details["outcomes"] == {
+            55: ending.value, 1_000_000_056: "done"}
+        assert err.value.details["attempts"] == [55, 1_000_000_056]
+
+    def test_primary_failure_with_retired_backups_passes(self):
+        _judge(_attempt(0, JobState.FAILED),
+               _attempt(100, JobState.SPECULATED, of=0))
+
+    def test_every_attempt_lost_fails(self):
+        with pytest.raises(InvariantViolation) as err:
+            _judge(_attempt(0, JobState.SPECULATED),
+                   _attempt(100, JobState.SPECULATED, of=0),
+                   _attempt(101, JobState.SPECULATED, of=0))
         assert err.value.invariant == "no-double-completion"
         assert err.value.details["attempts"] == [0, 100, 101]
 
-    def test_round_judges_the_families_its_jobs_touch(self):
-        primary = _attempt(7, JobState.SPECULATED)
-        backup = _attempt(101, JobState.DONE, of=7)
-        dog = _family_watchdog(
-            primary, _attempt(100, JobState.DONE, of=7), backup)
-        dog._check_double_completion([])  # no attempt changed
-        for touched in ([primary], [backup]):
-            with pytest.raises(InvariantViolation) as err:
-                dog._check_double_completion(touched)
-            assert err.value.details["done"] == [100, 101]
+    def test_second_outcome_raises_at_its_edge(self):
+        from repro.grid import Job, TransitionEngine
+        from repro.grid.health import HealthPolicy
+
+        sim = Simulator()
+        engine = TransitionEngine(sim)
+        family = []
+        for job_id, state, of in ((7, JobState.SPECULATED, None),
+                                  (100, JobState.DONE, 7),
+                                  (101, JobState.RUNNING, 7)):
+            job = Job(job_id=job_id, user="u", origin_site="site00",
+                      input_files=["d0"], runtime_s=10,
+                      speculative_of=of)
+            job.state = state
+            engine.register(job)
+            family.append(job)
+        grid = types.SimpleNamespace(
+            tracer=None, watchdog=None, lifecycle=engine,
+            health=types.SimpleNamespace(
+                policy=HealthPolicy(speculate_quantile=0.5),
+                families={7: family}))
+        Watchdog(sim, grid).install()
+        sim.run(until=42.0)
+        with pytest.raises(InvariantViolation) as err:
+            engine.transition(family[2], JobState.DONE)
+        assert err.value.invariant == "no-double-completion"
+        assert err.value.time == 42.0
+        assert err.value.details["done"] == [100, 101]
 
     def test_live_attempt_keeps_family_open(self):
-        dog = _family_watchdog(
-            _attempt(7, JobState.SPECULATED),
-            _attempt(100, JobState.SPECULATED, of=7),
-            _attempt(101, JobState.RUNNING, of=7))
-        dog._check_double_completion()
+        _judge(_attempt(7, JobState.SPECULATED),
+               _attempt(100, JobState.SPECULATED, of=7),
+               _attempt(101, JobState.RUNNING, of=7))
+
+    def test_check_now_judges_every_family(self):
+        from repro.grid import Job
+        from tests.grid.test_speculation import make_grid, warm_up
+
+        sim, grid = make_grid()
+        warm_up(sim, grid)
+        straggler = Job(job_id=1, user="u", origin_site="site00",
+                        input_files=["d0"], runtime_s=300)
+        sim.run(until=grid.submit(straggler))
+        dog = attach(grid)
+        dog.check_now()
+        # Forge a second outcome no edge ever saw: only the full check
+        # can find it.
+        grid.health.families[straggler.job_id].append(
+            _attempt(999, JobState.DONE, of=straggler.job_id))
+        with pytest.raises(InvariantViolation) as err:
+            dog.check_now()
+        assert err.value.invariant == "no-double-completion"
+        assert err.value.details["logical_job"] == straggler.job_id
 
 
 class TestViolationReporting:
