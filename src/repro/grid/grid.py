@@ -63,6 +63,9 @@ class DataGrid:
         self.datasets = datasets
         self.storages = storages
         self.sites = sites
+        #: ``(name, site)`` pairs sorted by name; the site set is fixed
+        #: once the grid is wired.
+        self._sorted_sites = sorted(sites.items())
         self.info = info
         self.datamover = datamover
         self.external_scheduler = external_scheduler
@@ -434,12 +437,14 @@ class DataGrid:
         policy = self.overload
         cap = policy.queue_capacity
         while self.sites[site_name].load >= cap:
+            if job.deflections >= policy.deflect_budget:
+                return None
             candidates = [
-                name for name, site in sorted(self.sites.items())
+                name for name, site in self._sorted_sites
                 if site.load < cap
                 and (self.faults is None or self.faults.is_up(name))
                 and (self.health is None or self.health.allows(name))]
-            if not candidates or job.deflections >= policy.deflect_budget:
+            if not candidates:
                 return None
             self.overload_stats.jobs_deflected += 1
             target = self._degraded_select(job, candidates)

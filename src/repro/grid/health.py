@@ -583,6 +583,12 @@ class HealthMonitor:
 
     def _launch_backup(self, primary: Job) -> None:
         grid = self.grid
+        durability = grid.durability
+        if durability is not None and any(
+                durability.is_lost(name) for name in primary.input_files):
+            # A clone could only die fetching the lost input and retire
+            # SPECULATED; the straggler stays eligible next tick.
+            return
         info = grid.info
         candidates = [name for name in info.site_names
                       if name != primary.execution_site]

@@ -24,7 +24,8 @@ Three staleness mechanisms, unified under one
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    Optional, Set, Tuple)
 
 import random
 
@@ -86,6 +87,12 @@ class InformationService:
         self._hidden: Set[str] = set()
         self._available_names: List[str] = self._site_names
         self._snapshot: Optional[Dict[str, int]] = None
+        # The all-sites least-loaded answer from the snapshot: the sites
+        # tied at the minimum load, and the snapshot and available-site
+        # list it was read from (both are replaced, never mutated).
+        self._tied: List[str] = []
+        self._tied_snapshot: Optional[Dict[str, int]] = None
+        self._tied_names: Optional[List[str]] = None
         if self.refresh_interval_s > 0:
             self._snapshot = self._take_snapshot()
             sim.process(self._refresher(), name="info-refresher")
@@ -234,24 +241,36 @@ class InformationService:
         site name — random tie-breaking avoids herd behaviour when many
         sites are idle, which matters early in a run.  Candidates marked
         down are dropped even when the load snapshot still lists them.
+
+        A load snapshot without the query-timeout fallback serves loads
+        with no side effect, so they are read off the snapshot directly,
+        and the all-sites answer is kept until the snapshot or the
+        available sites change.
         """
         if candidates is not None:
             names = sorted(candidates)
             if self._hidden:
                 names = [n for n in names if n not in self._hidden]
         else:
-            names = self.site_names
+            names = self._available_names
         if not names:
             raise ValueError("no candidate sites")
-        best_load: Optional[int] = None
-        best: List[str] = []
-        for name in names:
-            site_load = self.load(name)
-            if best_load is None or site_load < best_load:
-                best_load = site_load
-                best = [name]
-            elif site_load == best_load:
-                best.append(name)
+        snapshot = self._snapshot
+        if snapshot is None or self.policy.query_timeout_s > 0:
+            # Live loads, or reads that record last-known values.
+            best = _tied_at_minimum(names, self.load)
+        elif candidates is None:
+            if (snapshot is not self._tied_snapshot
+                    or names is not self._tied_names):
+                self._tied = _tied_at_minimum(names, snapshot.__getitem__)
+                self._tied_snapshot = snapshot
+                self._tied_names = names
+            best = self._tied
+        else:
+            try:
+                best = _tied_at_minimum(names, snapshot.__getitem__)
+            except KeyError as exc:
+                raise KeyError(f"unknown site {exc.args[0]!r}") from None
         if rng is not None and len(best) > 1:
             return rng.choice(best)
         return best[0]
@@ -304,3 +323,18 @@ class InformationService:
             return self.replica_view.bytes_present_by_site(
                 dataset_names, sizes=sizes)
         return self.catalog.bytes_present_by_site(dataset_names, sizes=sizes)
+
+
+def _tied_at_minimum(names: List[str], load: Callable[[str], int]
+                     ) -> List[str]:
+    """The names whose load is the smallest, in ``names`` order."""
+    best_load: Optional[int] = None
+    best: List[str] = []
+    for name in names:
+        site_load = load(name)
+        if best_load is None or site_load < best_load:
+            best_load = site_load
+            best = [name]
+        elif site_load == best_load:
+            best.append(name)
+    return best

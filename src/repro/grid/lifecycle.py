@@ -438,26 +438,31 @@ class TransitionEngine:
     def enqueue(self, job: "Job", site: str, waiting: int) -> None:
         """DISPATCHED -> FETCHING: arrived at the site, fetch starting."""
         self.transition(job, JobState.FETCHING)
-        self._emit("job.queue", job=job.job_id, site=site, waiting=waiting)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, "job.queue", job=job.job_id,
+                             site=site, waiting=waiting)
 
     def data_ready(self, job: "Job", site: str, fetched_mb: float) -> None:
         """Record input-data availability (not a state change)."""
         job.data_ready_at = self.now
         job.fetched_mb = fetched_mb
-        self._emit("job.data_ready", job=job.job_id, site=site,
-                   fetched_mb=fetched_mb)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, "job.data_ready", job=job.job_id,
+                             site=site, fetched_mb=fetched_mb)
 
     def start(self, job: "Job", site: str) -> None:
         """FETCHING -> RUNNING: compute phase begins."""
         self.transition(job, JobState.RUNNING)
-        self._emit("job.start", job=job.job_id, site=site,
-                   runtime_s=job.runtime_s)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, "job.start", job=job.job_id,
+                             site=site, runtime_s=job.runtime_s)
 
     def finish(self, job: "Job", site: str) -> None:
         """RUNNING -> DONE: the job completed."""
         self.transition(job, JobState.DONE)
-        self._emit("job.finish", job=job.job_id, site=site,
-                   fetched_mb=job.fetched_mb)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, "job.finish", job=job.job_id,
+                             site=site, fetched_mb=job.fetched_mb)
 
     def expire(self, job: "Job", site: str, deadline_s: float) -> None:
         """FETCHING -> EXPIRED: the queue deadline passed first.

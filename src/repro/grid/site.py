@@ -137,7 +137,10 @@ class Site:
         the job), so users can wait for their sequential submissions.
         """
         self.jobs_in_system += 1
-        self.lifecycle.enqueue(job, self.name, waiting=self.load)
+        engine = self.lifecycle
+        # The queue depth is read only for the ``job.queue`` record.
+        engine.enqueue(job, self.name, waiting=(
+            self.load if engine.tracer is not None else 0))
         # Start prefetching every input right away (unpinned, best-effort):
         # "the data transfer needed for a job starts while the job is still
         # in the processor queue".  The authoritative, pinned fetch happens

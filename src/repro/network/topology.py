@@ -33,6 +33,9 @@ class Topology:
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self._links: Dict[FrozenSet[str], Link] = {}
+        #: ``neighbors_of_site`` answers per (site, max_hops); cleared
+        #: whenever a node or link is added.
+        self._neighbors: Dict[Tuple[str, int], List[str]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -41,6 +44,7 @@ class Topology:
         if name in self.graph:
             raise ValueError(f"duplicate node {name!r}")
         self.graph.add_node(name, is_site=is_site)
+        self._neighbors.clear()
 
     def add_link(self, a: str, b: str, capacity_mbps: float) -> Link:
         """Connect two existing nodes with a link of the given capacity."""
@@ -55,6 +59,7 @@ class Topology:
         link = Link(a, b, capacity_mbps)
         self._links[key] = link
         self.graph.add_edge(a, b, link=link)
+        self._neighbors.clear()
         return link
 
     # -- queries -------------------------------------------------------------
@@ -200,9 +205,15 @@ class Topology:
 
         This is the Dataset Scheduler's "list of known sites (we define this
         as neighbors)".  In the hierarchical paper topology, 2 hops reaches
-        the sibling sites under the same regional center.
+        the sibling sites under the same regional center.  Returns a new
+        list on every call.
         """
-        lengths = nx.single_source_shortest_path_length(
-            self.graph, site, cutoff=max_hops)
-        return [n for n, d in sorted(lengths.items())
+        key = (site, max_hops)
+        neighbors = self._neighbors.get(key)
+        if neighbors is None:
+            lengths = nx.single_source_shortest_path_length(
+                self.graph, site, cutoff=max_hops)
+            neighbors = self._neighbors[key] = [
+                n for n, d in sorted(lengths.items())
                 if n != site and self.is_site(n)]
+        return list(neighbors)

@@ -3,8 +3,9 @@
 The :class:`TransferManager` executes every data movement in the grid (job
 input fetches *and* asynchronous replications — both compete for the same
 links, which is essential to the paper's comparison).  Whenever a transfer
-starts or finishes, rates are recomputed for the transfers sharing a link
-with it; every other rate is unchanged by that event.
+starts or finishes, only the links on its route change load, so only the
+transfers crossing them can change rate; under equal sharing, only those
+whose bottleneck share moved do.
 
 Two rate allocators are provided:
 
@@ -18,7 +19,7 @@ Two rate allocators are provided:
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, List, Optional, Set
+from typing import Any, Collection, Dict, List, Optional
 
 from repro.network.link import Link
 from repro.network.routing import Router
@@ -50,12 +51,15 @@ class Transfer:
     purpose:
         Free-form tag — the grid uses ``"job-fetch"`` and ``"replication"``
         so the metrics layer can attribute traffic.
+    bottleneck:
+        The link on the route whose share sets :attr:`rate` under equal
+        sharing (``None`` until the transfer is first rated).
     """
 
     __slots__ = (
         "src", "dst", "size_mb", "remaining_mb", "rate", "route",
         "done", "started_at", "finished_at", "purpose", "metadata",
-        "weight", "failed", "_last_update",
+        "weight", "failed", "bottleneck",
     )
 
     def __init__(self, sim: Simulator, src: str, dst: str, size_mb: float,
@@ -80,7 +84,7 @@ class Transfer:
         #: (GridFTP-style) competes for link capacity as N unit flows.
         self.weight = float(weight)
         self.failed = False
-        self._last_update = sim.now
+        self.bottleneck: Optional[Link] = None
 
     def __repr__(self) -> str:
         state = "done" if self.finished_at is not None else (
@@ -110,11 +114,14 @@ class EqualShareAllocator:
     A link's share is read from its running :attr:`Link.active_weight`,
     so ``transfers`` may be any subset of the attached transfers: a rate
     depends only on the links its transfer crosses (:attr:`local`).
+    :meth:`allocate` scans each route and records the link that sets the
+    rate as the transfer's :attr:`~Transfer.bottleneck`; :meth:`rerate`
+    uses it to move rates without a scan.
     """
 
     name = "equal-share"
     #: Rates depend only on the loads of the links each transfer crosses,
-    #: so the manager re-rates just the transfers on links whose load
+    #: so the manager hands :meth:`rerate` just the links whose load
     #: changed.
     local = True
 
@@ -128,8 +135,45 @@ class EqualShareAllocator:
                 share = link.capacity_mbps * weight / link.active_weight
                 if share < rate:
                     rate = share
+                    bottleneck = link
+            t.bottleneck = bottleneck
             rates[t] = rate
         return rates
+
+    def rerate(self, dirty: Dict[Link, float]) -> List[Transfer]:
+        """Move rates from the links whose load changed; list what to scan.
+
+        ``dirty`` maps each such link to its :attr:`Link.active_weight`
+        when the current rates were set.  A rate is the minimum share over
+        its route, a clean link's share has not moved, and ``min`` does not
+        round, so a dirty link whose share fell below a rate becomes that
+        transfer's bottleneck exactly.  Only a transfer whose bottleneck
+        share rose needs its route scanned; each is listed once, for
+        :meth:`allocate`.  A transfer not rated yet (rate 0.0) is left to
+        the caller.
+        """
+        scan: List[Transfer] = []
+        for link, rated_weight in dirty.items():
+            weight = link.active_weight
+            if weight < rated_weight:
+                # Every share on a lighter link rose (division is
+                # monotone), which moves only the rates it bottlenecks.
+                for t in link.active:
+                    if t.bottleneck is link:
+                        scan.append(t)
+            elif weight > rated_weight:
+                capacity = link.capacity_mbps
+                for t in link.active:
+                    share = capacity * t.weight / weight
+                    if t.bottleneck is link:
+                        if share <= t.rate:
+                            t.rate = share
+                        else:
+                            scan.append(t)
+                    elif share < t.rate:
+                        t.rate = share
+                        t.bottleneck = link
+        return scan
 
 
 class MaxMinFairAllocator:
@@ -195,8 +239,11 @@ class TransferManager:
     allocator:
         Rate allocator (defaults to the paper's equal-share model): an
         ``allocate(transfers)`` method returning a rate per transfer, and
-        a ``local`` flag saying whether it may be passed only the
-        transfers on links whose load changed.
+        a ``local`` flag saying whether a rate depends only on the links
+        its transfer crosses.  A local allocator also re-rates from the
+        links whose load changed (``rerate(dirty)``, as
+        :meth:`EqualShareAllocator.rerate`), and ``allocate`` scans only
+        the transfers it lists plus each new one.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
@@ -207,9 +254,14 @@ class TransferManager:
         self.allocator = allocator or EqualShareAllocator()
         self.active: List[Transfer] = []
         self.completed: List[Transfer] = []
-        #: Links whose load changed since the last rebalance: only the
-        #: transfers crossing them need new rates.
-        self._dirty: Set[Link] = set()
+        #: Links whose load changed since the last rebalance, each mapped
+        #: to its ``active_weight`` at that rebalance: only the transfers
+        #: crossing them can need new rates.
+        self._dirty: Dict[Link, float] = {}
+        #: When every active transfer's progress was last folded.  A new
+        #: transfer has rate 0.0, so folding it over any interval is a
+        #: no-op and one clock serves them all.
+        self._folded_at = sim.now
         self._timer_token = 0
         #: Called with each transfer the moment it completes (used by the
         #: NWS-style bandwidth forecaster, tracing, ...).  Aborted
@@ -260,14 +312,16 @@ class TransferManager:
             transfer.done.succeed(transfer)
             return transfer
         now = self.sim.now
+        dirty = self._dirty
         for link in route:
+            if link not in dirty:
+                dirty[link] = link.active_weight
             link.attach(transfer, now)
             link.active_weight += transfer.weight
-        self._dirty.update(route)
         self.active.append(transfer)
         for hook in self.on_start:
             hook(transfer)
-        self._rebalance()
+        self._rebalance(fresh=transfer)
         return transfer
 
     def abort(self, transfer: Transfer, reason: str = "") -> bool:
@@ -283,11 +337,10 @@ class TransferManager:
         # Fold the victim's progress up to now; the others fold in the
         # rebalance below, at the same instant and the same rates.
         now = self.sim.now
-        dt = now - transfer._last_update
+        dt = now - self._folded_at
         if dt > 0:
             left = transfer.remaining_mb - transfer.rate * dt
             transfer.remaining_mb = left if left > 0.0 else 0.0
-        transfer._last_update = now
         transfer.finished_at = now
         transfer.failed = True
         if reason:
@@ -340,33 +393,37 @@ class TransferManager:
                 carried_mb: float) -> None:
         """Take ``transfer`` off its route and mark those links dirty."""
         weight = transfer.weight
+        dirty = self._dirty
         for link in transfer.route:
+            if link not in dirty:
+                dirty[link] = link.active_weight
             link.detach(transfer, now, carried_mb)
             # An emptied link restarts its sum at exactly 0.0, so rounding
             # from fractional weights never outlives a busy period.
             link.active_weight = (link.active_weight - weight
                                   if link.active else 0.0)
-        self._dirty.update(transfer.route)
 
-    def _rebalance(self, rerate_all: bool = False) -> None:
+    def _rebalance(self, rerate_all: bool = False,
+                   fresh: Optional[Transfer] = None) -> None:
         """Fold progress, retire finished transfers, re-rate, re-arm.
 
         The fold runs over every active transfer at every rebalance, even
         those whose rate is unchanged, so each ``remaining_mb`` follows the
-        same float chain as recomputing every rate would.  Only transfers
-        on dirty links get new rates, unless ``rerate_all`` is set or the
-        allocator's rates are not :attr:`~EqualShareAllocator.local`.
+        same float chain as recomputing every rate would.  A local
+        allocator re-rates from the dirty links and scans only ``fresh``
+        (the transfer just started) and the transfers its ``rerate``
+        lists; ``rerate_all``, or an allocator that is not
+        :attr:`~EqualShareAllocator.local`, scans every active transfer.
         """
         now = self.sim.now
+        dt = now - self._folded_at
+        self._folded_at = now
         active = self.active
         finished = False
         for t in active:
-            dt = now - t._last_update
-            if dt > 0:
-                left = t.remaining_mb - t.rate * dt
-                t.remaining_mb = left if left > 0.0 else 0.0
-            t._last_update = now
-            if t.remaining_mb > _EPSILON_MB:
+            left = t.remaining_mb - t.rate * dt
+            if left > _EPSILON_MB:
+                t.remaining_mb = left
                 continue
             finished = True
             t.remaining_mb = 0.0
@@ -382,18 +439,24 @@ class TransferManager:
         if finished:
             active = self.active = [t for t in active if t.finished_at is None]
         dirty = self._dirty
-        if rerate_all or not self.allocator.local:
-            rerate: Collection[Transfer] = active
-        else:
-            rerate = set().union(*[link.active for link in dirty])
-        dirty.clear()
         if not active:
+            dirty.clear()
             return
-        rates = self.allocator.allocate(rerate)
-        for t in rerate:
-            t.rate = rates[t]
-            if t.rate <= 0:  # pragma: no cover - allocators always give > 0
-                raise RuntimeError(f"allocator assigned zero rate to {t!r}")
+        allocator = self.allocator
+        if rerate_all or not allocator.local:
+            scan: List[Transfer] = active
+        else:
+            scan = allocator.rerate(dirty)
+            if fresh is not None and fresh.finished_at is None:
+                scan.append(fresh)
+        dirty.clear()
+        if scan:
+            rates = allocator.allocate(scan)
+            for t in scan:
+                t.rate = rates[t]
+                if t.rate <= 0:  # pragma: no cover - allocators give > 0
+                    raise RuntimeError(
+                        f"allocator assigned zero rate to {t!r}")
         next_dt = _INF
         for t in active:
             dt = t.remaining_mb / t.rate

@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid import InfoPolicy, Job
+from repro.grid.catalog import ReplicaCatalog
 from repro.grid.info import InformationService
+from repro.sim import Simulator
 
 
 class TestLiveQueries:
@@ -258,3 +262,75 @@ class TestQueryTimeoutFallback:
         loads = info.loads()
         assert loads["site00"] == 0  # served from the cached record
         assert loads["site01"] == 0
+
+
+class _Site:
+    """Just the load the information service reads off a site."""
+
+    def __init__(self) -> None:
+        self.load = 0
+
+
+def scanned_least_loaded(info, candidates, rng):
+    """The reference: ask ``load()`` of every available candidate."""
+    if candidates is None:
+        names = info.site_names
+    else:
+        names = [name for name in sorted(candidates)
+                 if info.is_available(name) and not info.is_suspected(name)]
+    if not names:
+        raise ValueError("no candidate sites")
+    low = min(info.load(name) for name in names)
+    best = [name for name in names if info.load(name) == low]
+    if rng is not None and len(best) > 1:
+        return rng.choice(best)
+    return best[0]
+
+
+SITES = [f"site{i:02d}" for i in range(5)]
+site_name = st.sampled_from(SITES)
+#: Each step changes one thing, then asks least-loaded of all available
+#: sites (``None``) or of a candidate subset, with or without an rng seed.
+info_steps = st.lists(st.tuples(
+    st.one_of(
+        st.tuples(st.just("load"), st.tuples(site_name, st.integers(0, 3))),
+        st.tuples(st.just("refresh"), st.none()),
+        st.tuples(st.sampled_from(["down", "up", "suspect", "clear"]),
+                  site_name)),
+    st.none() | st.lists(site_name, unique=True),
+    st.none() | st.integers(0, 2 ** 16),
+), min_size=1, max_size=30)
+
+
+@given(steps=info_steps)
+@settings(max_examples=150, deadline=None)
+def test_snapshot_answer_matches_a_load_scan(steps):
+    """Least-loaded from the snapshot equals the per-site ``load()`` scan
+    across refreshes, outages, suspicion and candidate subsets, and
+    leaves the tie-breaking ``rng`` in the same state."""
+    sim = Simulator()
+    sites = {name: _Site() for name in SITES}
+    info = InformationService(sim, sites, ReplicaCatalog(),
+                              policy=InfoPolicy(refresh_interval_s=10.0))
+    toggles = {"down": info.mark_site_down, "up": info.mark_site_up,
+               "suspect": info.mark_site_suspect,
+               "clear": info.clear_site_suspect}
+    sim.run(until=0.5)
+    for (kind, arg), candidates, seed in steps:
+        if kind == "load":
+            name, value = arg
+            sites[name].load = value  # visible only after a refresh
+        elif kind == "refresh":
+            sim.run(until=sim.now + 10.0)
+        else:
+            toggles[kind](arg)
+        answers = []
+        for least_loaded in (info.least_loaded, (
+                lambda c, rng: scanned_least_loaded(info, c, rng))):
+            rng = None if seed is None else random.Random(seed)
+            try:
+                site = least_loaded(candidates, rng=rng)
+            except ValueError:
+                site = None
+            answers.append((site, None if rng is None else rng.getstate()))
+        assert answers[0] == answers[1]

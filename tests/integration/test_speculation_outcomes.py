@@ -13,7 +13,8 @@ Each pinned seed drives one way to break that rule:
 * lost data — a primary's input is lost while its backup can still
   finish (seed 15), and a primary gives up while its backup is still
   fetching, so releasing its user early would end the run mid-fetch
-  (seed 16);
+  (seed 16); and no backup is cloned from a primary whose input is
+  already lost, since it could only die fetching (seeds 0–11);
 * deadlines — a backup's queue deadline passes while its primary runs
   on and finishes (seeds 1, 7, 8 and 11).
 """
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro import FaultPlan, SimulationConfig, build_grid, make_workload
 from repro.experiments.runner import run_single
+from repro.grid.health import HealthMonitor
 from repro.grid.lifecycle import TERMINAL_STATES, JobState
 from repro.metrics import RunMetrics
 
@@ -79,6 +81,25 @@ class TestLostData:
         # run_single refuses a run that ends with an attempt still live.
         metrics = run_single(SIX.with_(**LOST_DATA), *PAIR, seed=16)
         assert metrics.speculative_launched > 0
+
+    def test_no_backup_for_a_primary_whose_input_is_lost(self, monkeypatch):
+        launches = []  # per backup: was one of its inputs already lost?
+        launch = HealthMonitor._launch_backup
+
+        def spy(health, primary):
+            durability = health.grid.durability
+            lost = any(durability.is_lost(name)
+                       for name in primary.input_files)
+            before = health.stats.speculative_launched
+            launch(health, primary)
+            if health.stats.speculative_launched > before:
+                launches.append(lost)
+
+        monkeypatch.setattr(HealthMonitor, "_launch_backup", spy)
+        for seed in range(12):
+            run(LOST_DATA, seed)
+        assert len(launches) > 500
+        assert launches.count(True) == 0
 
 
 class TestDeadlines:

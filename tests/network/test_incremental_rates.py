@@ -1,13 +1,16 @@
 """Differential tests for incremental equal-share rate allocation.
 
 The transfer manager re-rates only the transfers that share a link with
-one that started, finished or was aborted since its last rebalance.  These
-tests drive random schedules of starts (several at one instant), aborts
-and capacity changes, and check after every kernel event that each
-active transfer's rate equals the equal-share rate recounted over all
-active transfers, and that each link's running weight equals the sum over
-its attached transfers.  A second test runs the same schedule against the
-recounting allocator and requires bitwise-identical outcomes.
+one that started, finished or was aborted since its last rebalance, and
+scans the route of only those whose bottleneck share rose.  These tests
+drive random schedules of starts (several at one instant), ties (equal
+sizes started together, so they finish in the same instant), aborts of
+one or several transfers and capacity changes.  After every kernel event
+each active transfer's rate must equal the equal-share rate recounted
+over all active transfers, its bottleneck must be a link on its route
+whose share is that rate, and each link's running weight must equal the
+sum over its attached transfers.  A second test runs the same schedule
+against the recounting allocator and requires bitwise-identical outcomes.
 """
 
 import random
@@ -55,9 +58,17 @@ starts = st.lists(
               st.integers(1, 400),                     # size MB
               st.integers(1, 4)),                      # weight
     min_size=1, max_size=4)
+ties = st.tuples(
+    st.sampled_from([10, 40, 100]),                    # one size for all
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                       st.integers(1, 4)),
+             min_size=2, max_size=6))
 actions = st.one_of(
     st.tuples(st.just("start"), starts),
+    st.tuples(st.just("tie"), ties),
     st.tuples(st.just("abort"), st.integers(0, 50)),
+    st.tuples(st.just("leave"), st.lists(st.integers(0, 50),
+                                         min_size=2, max_size=4)),
     st.tuples(st.just("capacity"),
               st.tuples(st.integers(0, 50),
                         st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]))),
@@ -88,9 +99,19 @@ def _build(topology, schedule, allocator):
                     started.append(tm.start(
                         sites[src % len(sites)], sites[dst % len(sites)],
                         size, weight=weight))
+            elif kind == "tie":
+                size, pairs = arg
+                for src, dst, weight in pairs:
+                    started.append(tm.start(
+                        sites[src % len(sites)], sites[dst % len(sites)],
+                        size, weight=weight))
             elif kind == "abort":
                 if tm.active:
                     tm.abort(tm.active[arg % len(tm.active)])
+            elif kind == "leave":
+                for index in arg:
+                    if tm.active:
+                        tm.abort(tm.active[index % len(tm.active)])
             else:
                 index, factor = arg
                 link = links[index % len(links)]
@@ -105,6 +126,9 @@ def _assert_consistent(topo, tm):
     expected = recounted_rates(tm.active)
     for t in tm.active:
         assert t.rate == expected[t], (t, t.rate, expected[t])
+        link = t.bottleneck
+        assert link in t.route, (t, link)
+        assert link.capacity_mbps * t.weight / link.active_weight == t.rate
     for link in topo.links:
         assert link.active_weight == sum(t.weight for t in link.active)
 
@@ -141,7 +165,9 @@ def test_incremental_run_is_bitwise_the_recounted_run(topology, schedule):
 
 
 def test_start_rerates_only_transfers_sharing_a_link():
-    """A join re-rates the transfers on its route and no others."""
+    """A join scans only the new transfer's route.  The share it takes
+    from a transfer on the same link lowers that rate without a scan,
+    and a transfer on other links keeps its rate."""
     sim = Simulator()
     tm = TransferManager(sim, Topology.ring(6, 10.0))
     calls = []
@@ -150,7 +176,7 @@ def test_start_rerates_only_transfers_sharing_a_link():
     a = tm.start("site00", "site01", 100)
     b = tm.start("site03", "site04", 100)
     c = tm.start("site00", "site01", 100)
-    assert calls == [{a}, {b}, {a, c}]
+    assert calls == [{a}, {b}, {c}]
     assert (a.rate, b.rate, c.rate) == (5.0, 10.0, 5.0)
     tm.rebalance()
     assert calls[-1] == {a, b, c}

@@ -161,3 +161,22 @@ class TestNeighbors:
         neighbors = topo.neighbors_of_site("site00", max_hops=4)
         assert "site00" not in neighbors
         assert all(n.startswith("site") for n in neighbors)
+
+    def test_answer_is_a_fresh_list_each_call(self):
+        topo = Topology.ring(6, 10)
+        first = topo.neighbors_of_site("site00", max_hops=1)
+        first.append("mutated")
+        assert topo.neighbors_of_site("site00", max_hops=1) == [
+            "site01", "site05"]
+
+    def test_new_node_or_link_refreshes_the_answer(self):
+        topo = Topology.ring(6, 10)
+        assert topo.neighbors_of_site("site00", max_hops=1) == [
+            "site01", "site05"]
+        topo.add_link("site00", "site03", 10)
+        assert topo.neighbors_of_site("site00", max_hops=1) == [
+            "site01", "site03", "site05"]
+        topo.add_node("site06")
+        topo.add_link("site06", "site00", 10)
+        assert topo.neighbors_of_site("site00", max_hops=1) == [
+            "site01", "site03", "site05", "site06"]
