@@ -18,11 +18,14 @@ first-divergence diff without committing megabytes of trace text.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
 from repro.trace.jsonl import dumps_record
 from repro.trace.schema import SCHEMA_VERSION
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.config import SimulationConfig
 
 #: Rolling-digest interval (records).  Small enough to localize a
 #: divergence to a readable window, large enough to keep golden files tiny.
@@ -132,11 +135,58 @@ def golden_config():
     )
 
 
-def run_golden(es_name: str, ds_name: str) -> List[TraceRecord]:
-    """Run the canonical workload traced; returns the record stream."""
+def health_golden_configs() -> Dict[str, Tuple["SimulationConfig", str, str]]:
+    """Six-site health configs, each with its (ES, DS) pair.
+
+    They lock the observed failure detector's event order on top of the
+    canonical workload.  ``lattice`` and ``lattice-probe`` use 20 s beats
+    with no jitter, and start and end every fault window on that beat
+    lattice, so beats, detector ticks, probes and fault steps land on
+    the same instants and the kernel's FIFO order decides which runs
+    first.  One outage lasts exactly one beat interval.  ``jittered``
+    arms beat jitter, MTBF churn, a flapping site, observed-only
+    detection and the query-timeout fallback.
+    """
+    from repro.faults.plan import (
+        FaultPlan,
+        NetworkPartition,
+        OutageGroup,
+        SiteOutage,
+    )
+
+    base = golden_config().with_(health_heartbeat_s=20.0)
+    lattice = FaultPlan(
+        site_outages=(SiteOutage("site01", 100.0, 200.0),
+                      SiteOutage("site05", 140.0, 160.0)),
+        partitions=(NetworkPartition(("site02",), 240.0, 400.0),),
+        outage_groups=(OutageGroup(("site03", "site04"), 300.0, 460.0),),
+    )
+    churn = FaultPlan(site_mtbf_s=1500.0, site_mttr_s=300.0,
+                      flap_sites=("site05",), flap_mtbf_s=400.0,
+                      flap_mttr_s=60.0)
+    return {
+        "lattice": (base.with_(fault_plan=lattice),
+                    "JobLeastLoaded", "DataRandom"),
+        "lattice-probe": (base.with_(fault_plan=lattice,
+                                     health_probe_interval_s=20.0,
+                                     health_observed_only=True),
+                          "JobDataPresent", "DataLeastLoaded"),
+        "jittered": (base.with_(fault_plan=churn,
+                                health_heartbeat_jitter=0.1,
+                                health_observed_only=True,
+                                info_timeout_s=60.0),
+                     "JobLeastLoaded", "DataRandom"),
+    }
+
+
+def run_golden(es_name: str, ds_name: str,
+               config: Optional["SimulationConfig"] = None
+               ) -> List[TraceRecord]:
+    """Run one golden config traced (default: the canonical workload);
+    returns the record stream."""
     from repro.experiments.runner import run_single
     from repro.sim.trace import Tracer
 
     tracer = Tracer()
-    run_single(golden_config(), es_name, ds_name, tracer=tracer)
+    run_single(config or golden_config(), es_name, ds_name, tracer=tracer)
     return tracer.records

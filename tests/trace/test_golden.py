@@ -5,7 +5,9 @@ algorithm pair, fingerprints the full domain-event stream, and compares
 against the committed digest in ``tests/trace/golden/digests.json``.  Any
 behavioural drift — different site choice, different transfer order, a
 replication firing at a different count — fails the affected combos with
-a first-divergence report.
+a first-divergence report.  A second family (``health/*``) runs six-site
+health configs (``health_golden_configs``) and locks the failure
+detector's event order, ties on the beat lattice included.
 
 Regenerate intentionally changed baselines with::
 
@@ -18,10 +20,16 @@ from pathlib import Path
 import pytest
 
 from repro.scheduling.registry import ALL_DS, ALL_ES
-from repro.trace.golden import describe_divergence, fingerprint, run_golden
+from repro.trace.golden import (
+    describe_divergence,
+    fingerprint,
+    health_golden_configs,
+    run_golden,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 COMBOS = [(es, ds) for es in ALL_ES for ds in ALL_DS]
+HEALTH_CONFIGS = health_golden_configs()
 
 # Session-local memo of golden runs, so the digest-uniqueness test reuses
 # the streams already produced by the per-combo tests.
@@ -49,13 +57,9 @@ def _store_digest(key, fp):
         json.dumps(digests, indent=2, sort_keys=True) + "\n")
 
 
-@pytest.mark.parametrize("es,ds", COMBOS,
-                         ids=[f"{es}-{ds}" for es, ds in COMBOS])
-def test_golden_trace(es, ds, request):
-    records = _golden_records(es, ds)
+def _check_golden(key, records, request):
     assert records, "golden run produced an empty trace"
     fp = fingerprint(records)
-    key = f"{es}/{ds}"
     if request.config.getoption("--regen-golden"):
         _store_digest(key, fp)
         return
@@ -66,6 +70,18 @@ def test_golden_trace(es, ds, request):
     assert (fp["digest"], fp["count"]) == (stored["digest"],
                                            stored["count"]), \
         describe_divergence(stored, records)
+
+
+@pytest.mark.parametrize("es,ds", COMBOS,
+                         ids=[f"{es}-{ds}" for es, ds in COMBOS])
+def test_golden_trace(es, ds, request):
+    _check_golden(f"{es}/{ds}", _golden_records(es, ds), request)
+
+
+@pytest.mark.parametrize("name", sorted(HEALTH_CONFIGS))
+def test_health_golden_trace(name, request):
+    config, es, ds = HEALTH_CONFIGS[name]
+    _check_golden(f"health/{name}", run_golden(es, ds, config), request)
 
 
 def test_all_combo_digests_are_distinct():
