@@ -24,6 +24,12 @@ Determinism: all randomness comes from one injected
 loops get their own sub-streams drawn in sorted site order, and every
 action happens through simulator events — so a seeded faulty run is
 bitwise-identical across processes, worker counts, and cache replays.
+
+Heartbeats: the health layer replays each site's beats on demand, so
+every change to whether a site is reachable first lets it replay the
+beats due (:meth:`~repro.grid.health.HealthMonitor.replay_beats`).  Each
+generator records when it scheduled the step that fired
+(``scheduled_at``), which places a beat due at the same instant.
 """
 
 from __future__ import annotations
@@ -272,13 +278,26 @@ class FaultInjector:
 
     # -- outage mechanics ---------------------------------------------------------
 
-    def take_site_down(self, site: str, permanent: bool = False) -> bool:
-        """Fail a site now.  Returns False if it was already down."""
+    def _replay_beats(self, site: str, scheduled_at: Optional[float]) -> None:
+        """Let the health layer replay ``site``'s beats before its
+        reachability changes (a no-op without heartbeats)."""
+        health = self.grid.health
+        if health is not None:
+            health.replay_beats(site, scheduled_at)
+
+    def take_site_down(self, site: str, permanent: bool = False,
+                       scheduled_at: Optional[float] = None) -> bool:
+        """Fail a site now.  Returns False if it was already down.
+
+        ``scheduled_at`` is when a fault generator scheduled this step;
+        None for a direct call.
+        """
         if site in self.down:
             if permanent and site not in self.dead:
                 self._make_permanent(site)
                 return True
             return False
+        self._replay_beats(site, scheduled_at)
         self.down.add(site)
         self._down_since[site] = self.sim.now
         self.outages_started += 1
@@ -299,10 +318,13 @@ class FaultInjector:
             transfers.abort(transfer, reason=f"site {site} down")
         return True
 
-    def bring_site_up(self, site: str) -> bool:
-        """Recover a (non-permanently) failed site."""
+    def bring_site_up(self, site: str,
+                      scheduled_at: Optional[float] = None) -> bool:
+        """Recover a (non-permanently) failed site (``scheduled_at`` as
+        in :meth:`take_site_down`)."""
         if site not in self.down or site in self.dead:
             return False
+        self._replay_beats(site, scheduled_at)
         self.down.discard(site)
         self._downtime_s[site] += self.sim.now - self._down_since.pop(site)
         if self.tracer is not None:
@@ -339,34 +361,42 @@ class FaultInjector:
             self.wake_recovery_waiters(None)
 
     def _scripted_outage(self, outage: SiteOutage):
+        scheduled = self.sim.now
         if outage.start_s > 0:
             yield self.sim.timeout(outage.start_s)
-        self.take_site_down(outage.site, permanent=outage.permanent)
+        self.take_site_down(outage.site, permanent=outage.permanent,
+                            scheduled_at=scheduled)
         if not outage.permanent:
+            scheduled = self.sim.now
             yield self.sim.timeout(outage.end_s - outage.start_s)
-            self.bring_site_up(outage.site)
+            self.bring_site_up(outage.site, scheduled_at=scheduled)
 
     def _mtbf_loop(self, site: str, rng: random.Random,
                    mtbf_s: float, mttr_s: float):
         while True:
+            scheduled = self.sim.now
             yield self.sim.timeout(rng.expovariate(1.0 / mtbf_s))
             if site in self.down:  # scripted window already has it down
                 continue
-            self.take_site_down(site)
+            self.take_site_down(site, scheduled_at=scheduled)
+            scheduled = self.sim.now
             yield self.sim.timeout(rng.expovariate(1.0 / mttr_s))
-            self.bring_site_up(site)
+            self.bring_site_up(site, scheduled_at=scheduled)
 
     def _group_outage(self, group: OutageGroup):
         # Rack-correlated loss: the whole group drops at one instant, in
         # declared order, and (if transient) recovers together.
+        scheduled = self.sim.now
         if group.start_s > 0:
             yield self.sim.timeout(group.start_s)
         for site in group.sites:
-            self.take_site_down(site, permanent=group.permanent)
+            self.take_site_down(site, permanent=group.permanent,
+                                scheduled_at=scheduled)
         if not group.permanent:
+            scheduled = self.sim.now
             yield self.sim.timeout(group.end_s - group.start_s)
             for site in group.sites:
-                self.bring_site_up(site)
+                self.bring_site_up(site, scheduled_at=scheduled)
 
     # -- link mechanics -----------------------------------------------------------
 
@@ -397,10 +427,12 @@ class FaultInjector:
         # A partition is not an outage: the cut sites keep *computing*,
         # but nothing crosses the boundary — transfers stall, heartbeats
         # vanish, and only an observed detector can tell the difference.
+        scheduled = self.sim.now
         if partition.start_s > 0:
             yield self.sim.timeout(partition.start_s)
         cut = set(partition.sites)
         for site in partition.sites:
+            self._replay_beats(site, scheduled)
             self.partitioned.add(site)
             self._partitioned_since.setdefault(site, self.sim.now)
         if self.tracer is not None:
@@ -418,10 +450,12 @@ class FaultInjector:
                          if t.src in cut or t.dst in cut]:
             transfers.abort(transfer, reason="network partition")
         transfers.rebalance()
+        scheduled = self.sim.now
         yield self.sim.timeout(partition.end_s - partition.start_s)
         for link in severed:
             link.capacity_mbps = self._link_base[link]
         for site in partition.sites:
+            self._replay_beats(site, scheduled)
             self.partitioned.discard(site)
             self._partitioned_since.pop(site, None)
         if self.tracer is not None:

@@ -526,9 +526,10 @@ class DataMover:
                 f"no replica of {dataset_name!r} available for {dest!r}")
         # Closest replica by hop count; ties broken randomly so one popular
         # source does not absorb all traffic.
-        router = self.transfers.router
-        best_hops = min(router.hops(src, dest) for src in locations)
-        closest = [s for s in locations if router.hops(s, dest) == best_hops]
+        hops = self.transfers.router.hops
+        counts = [hops(src, dest) for src in locations]
+        best_hops = min(counts)
+        closest = [s for s, n in zip(locations, counts) if n == best_hops]
         if len(closest) == 1:
             return closest[0]
         return self.rng.choice(closest)

@@ -8,12 +8,18 @@ that gap with three cooperating mechanisms, bundled (like
 :class:`~repro.grid.overload.OverloadPolicy` for saturation) into one
 frozen :class:`HealthPolicy`:
 
-* **Heartbeat failure detector** — every site emits heartbeats on a sim
-  process; a detector tracks the inter-arrival history and computes a
-  phi-style suspicion level (elapsed silence over the windowed mean
-  interval).  Crossing ``phi_threshold`` raises a *suspicion*: no oracle
-  is consulted, so detection has latency and (with heartbeat jitter and
-  a tight threshold) measurable false positives.
+* **Heartbeat failure detector** — every site emits heartbeats; a
+  detector tracks the inter-arrival history and computes a phi-style
+  suspicion level (elapsed silence over the windowed mean interval).
+  Crossing ``phi_threshold`` raises a *suspicion*: no oracle is
+  consulted, so detection has latency and (with heartbeat jitter and a
+  tight threshold) measurable false positives.  A beat changes nothing
+  but its own site's detector state, so no kernel event carries it:
+  each site keeps a cursor (its stream, its next beat, and when that
+  beat's timeout would have been created), and the beats due are
+  replayed where something reads or changes what a beat sees — the
+  detector tick, a re-admission, and every reachability change the
+  fault injector makes (see :meth:`HealthMonitor.replay_beats`).
 * **Circuit breakers** — one per site and one per used link::
 
       CLOSED --suspicion / repeated failures--> OPEN
@@ -78,6 +84,19 @@ HALF_OPEN = "half-open"
 #: First backup-clone job id.  Far above any workload generator's range,
 #: so clone ids can never collide with primaries.
 SPECULATIVE_ID_BASE = 1_000_000_000
+
+# A replayed beat due at exactly a step's instant runs first when the
+# kernel would have run it first: events of one (time, priority) bucket
+# run in the order their timeouts were created, so a step is ranked by
+# (creation time, rank) against a beat's (creation time, _BEAT).  Faults
+# install before health, so at one creation instant a fault step's
+# timeout precedes a beat's, and a beat's precedes the detector's.
+_FAULT_STEP = 0
+_BEAT = 1
+_HEALTH_STEP = 2
+#: Ranks after every beat due now: a re-admission overwrites what a beat
+#: at its instant would leave, so either order gives the same state.
+_AFTER_EVERY_BEAT = (float("inf"), _HEALTH_STEP)
 
 
 @dataclass(frozen=True)
@@ -274,10 +293,28 @@ class CircuitBreaker:
         return f"<CircuitBreaker {self.state} failures={self.failures}>"
 
 
+class _BeatCursor:
+    """One site's heartbeat stream, replayed on demand.
+
+    ``due`` is the time of the site's next beat and ``created`` the time
+    that beat's timeout would have been created: the previous beat's
+    time, or the install time for the first beat.
+    """
+
+    __slots__ = ("site", "rng", "due", "created")
+
+    def __init__(self, site: str, rng: random.Random, due: float,
+                 created: float) -> None:
+        self.site = site
+        self.rng = rng
+        self.due = due
+        self.created = created
+
+
 class HealthMonitor:
     """Drives observed failure detection for one wired grid.
 
-    Owns the heartbeat processes, the detector, every breaker, the
+    Owns the heartbeat cursors, the detector, every breaker, the
     half-open probers, and the speculation manager.  Constructed and
     installed by :meth:`~repro.grid.grid.DataGrid.create` when a non-null
     :class:`HealthPolicy` is given.
@@ -309,6 +346,9 @@ class HealthMonitor:
         self._intervals: Dict[str, Deque[float]] = {
             name: deque(maxlen=policy.detector_window)
             for name in sorted(grid.sites)}
+        #: Per-site heartbeat cursors, in sorted site order (empty until
+        #: :meth:`install` starts the heartbeats).
+        self._beats: Dict[str, _BeatCursor] = {}
         # Shared probe-jitter stream, drawn before the per-site heartbeat
         # sub-streams so the draw order is fixed.
         self._probe_rng = random.Random(self.rng.randrange(2 ** 62))
@@ -339,12 +379,7 @@ class HealthMonitor:
             site.health = self
         grid.transfers.on_abort.append(self._on_transfer_abort)
         if self.policy.heartbeat_interval_s > 0:
-            # Per-site heartbeat sub-streams drawn in sorted order:
-            # deterministic and independent of later interleaving.
-            for name in sorted(grid.sites):
-                site_rng = random.Random(self.rng.randrange(2 ** 62))
-                self.sim.process(self._heartbeat_loop(name, site_rng),
-                                 name=f"health:beat:{name}")
+            self._start_heartbeats()
             self.sim.process(self._detector_loop(), name="health:detector")
         if self.policy.speculate_quantile > 0:
             grid.lifecycle.hooks.append(self._on_transition)
@@ -377,28 +412,76 @@ class HealthMonitor:
         faults = self.grid.faults
         return faults is None or faults.is_reachable(site)
 
-    def _heartbeat_loop(self, site: str, rng: random.Random):
-        interval = self.policy.heartbeat_interval_s
+    def _beat_wait(self, rng: random.Random) -> float:
+        """The gap to a site's next beat (one jitter draw when armed)."""
+        wait = self.policy.heartbeat_interval_s
         jitter = self.policy.heartbeat_jitter
-        while True:
-            wait = interval
-            if jitter > 0:
-                wait *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
-            yield self.sim.timeout(wait)
-            if not self._reachable(site):
-                continue  # the beat is lost on the wire
-            now = self.sim.now
-            last = self._last_beat.get(site)
-            if last is not None and now > last:
-                self._intervals[site].append(now - last)
-            self._last_beat[site] = now
+        if jitter > 0:
+            wait *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
+        return wait
+
+    def _start_heartbeats(self) -> None:
+        # Per-site heartbeat sub-streams drawn in sorted order:
+        # deterministic and independent of later interleaving.
+        now = self.sim.now
+        for name in sorted(self.grid.sites):
+            rng = random.Random(self.rng.randrange(2 ** 62))
+            self._beats[name] = _BeatCursor(
+                name, rng, now + self._beat_wait(rng), now)
+
+    def _replay(self, cursor: _BeatCursor, now: float,
+                step: Optional[Tuple[float, int]]) -> None:
+        """Replay the cursor's beats that run before a step at ``now``.
+
+        Beats due before ``now`` all ran earlier.  A beat due at ``now``
+        runs first only if its ``(created, _BEAT)`` ranks below ``step``;
+        ``step=None`` (a direct call from outside the kernel) runs before
+        every beat due now.
+        """
+        site = cursor.site
+        faults = self.grid.faults
+        last_beat = self._last_beat
+        while cursor.due < now or (
+                cursor.due == now and step is not None
+                and (cursor.created, _BEAT) < step):
+            beat = cursor.due
+            # An unreachable site's beat is lost on the wire.
+            if faults is None or faults.is_reachable(site):
+                last = last_beat[site]
+                if beat > last:
+                    self._intervals[site].append(beat - last)
+                last_beat[site] = beat
+            cursor.created = beat
+            cursor.due = beat + self._beat_wait(cursor.rng)
+
+    def replay_beats(self, site: str,
+                     scheduled_at: Optional[float] = None) -> None:
+        """Replay ``site``'s beats that run before a reachability change.
+
+        The fault injector calls this just before it changes whether the
+        site is reachable, so each replayed beat sees the state it would
+        have seen live.  ``scheduled_at`` is when the fault step's timeout
+        was created; None (a direct call) changes the state before any
+        beat due now.
+        """
+        cursor = self._beats.get(site)
+        if cursor is not None:
+            self._replay(cursor, self.sim.now,
+                         None if scheduled_at is None
+                         else (scheduled_at, _FAULT_STEP))
 
     def _detector_loop(self):
         interval = self.policy.heartbeat_interval_s
         names = sorted(self.grid.sites)
+        cursors = list(self._beats.values())
         while True:
+            scheduled = self.sim.now
             yield self.sim.timeout(interval)
             now = self.sim.now
+            step = (scheduled, _HEALTH_STEP)
+            for cursor in cursors:
+                if cursor.due <= now:
+                    self._replay(cursor, now, step)
             for site in names:
                 if self.site_breakers[site].state is not CLOSED:
                     continue  # already suspected; the prober owns it
@@ -480,6 +563,9 @@ class HealthMonitor:
         self._restore_site(site)
 
     def _restore_site(self, site: str) -> None:
+        cursor = self._beats.get(site)
+        if cursor is not None:
+            self._replay(cursor, self.sim.now, _AFTER_EVERY_BEAT)
         breaker = self.site_breakers[site]
         breaker.state = CLOSED
         breaker.probe_successes = 0

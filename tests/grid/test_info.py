@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.grid import InfoPolicy, Job
@@ -334,3 +334,123 @@ def test_snapshot_answer_matches_a_load_scan(steps):
                 site = None
             answers.append((site, None if rng is None else rng.getstate()))
         assert answers[0] == answers[1]
+
+
+class RecordingInfo(InformationService):
+    """The reference for the query-timeout fallback: every load read,
+    each site of an all-sites scan included, records that site's
+    last-known value, and least-loaded always scans ``load()``."""
+
+    def load(self, site):
+        if self._stale_marked and site in self._stale_marked:
+            entry = self._last_known.get(site)
+            if (entry is not None and self.sim.now - entry[1]
+                    <= self.policy.query_timeout_s):
+                self.stale_load_reads += 1
+                return entry[0]
+            self._stale_marked.discard(site)
+        value = self._snapshot[site]
+        self._last_known[site] = (value, self.sim.now)
+        return value
+
+    def refresh(self, site):
+        self._stale_marked.discard(site)
+        self._last_known.pop(site, None)
+
+    def least_loaded(self, candidates=None, rng=None):
+        if candidates is None:
+            names = self.site_names
+        else:
+            names = [name for name in sorted(candidates)
+                     if name not in self._hidden]
+        if not names:
+            raise ValueError("no candidate sites")
+        best, low = [], None
+        for name in names:
+            value = self.load(name)
+            if low is None or value < low:
+                low, best = value, [name]
+            elif value == low:
+                best.append(name)
+        if rng is not None and len(best) > 1:
+            return rng.choice(best)
+        return best[0]
+
+
+#: Each step changes one thing (a site's real load, the clock, the
+#: snapshot, a stale mark, a refresh, an outage) or asks one query:
+#: least-loaded of all available sites or of a subset, ``load()`` of one
+#: site, or ``loads()``.
+timeout_steps = st.lists(st.one_of(
+    st.tuples(st.just("load"), st.tuples(site_name, st.integers(0, 3))),
+    st.tuples(st.just("wait"), st.sampled_from([1.0, 10.0, 30.0, 70.0])),
+    st.tuples(st.just("resnap"), st.none()),
+    st.tuples(st.sampled_from(["mark", "refresh", "down", "up", "read"]),
+              site_name),
+    st.tuples(st.just("ask"), st.tuples(
+        st.none() | st.lists(site_name, unique=True),
+        st.none() | st.integers(0, 2 ** 16))),
+    st.tuples(st.just("loads"), st.none()),
+), min_size=1, max_size=60)
+
+
+@given(steps=timeout_steps)
+# A refresh forgets an older all-sites read too.
+@example(steps=[("ask", (None, None)), ("refresh", "site01"),
+                ("mark", "site01"), ("read", "site01")])
+# Reads at one instant, on either side of a snapshot refresh: the later
+# read is the last-known one, whichever kind it is.
+@example(steps=[("read", "site01"), ("load", ("site01", 3)),
+                ("resnap", None), ("ask", (None, None)),
+                ("mark", "site01"), ("read", "site01")])
+@example(steps=[("ask", (None, None)), ("load", ("site01", 3)),
+                ("resnap", None), ("read", "site01"),
+                ("mark", "site01"), ("read", "site01")])
+@settings(max_examples=200, deadline=None)
+def test_timeout_fallback_matches_a_recording_scan(steps):
+    """Under a query timeout, the all-sites answer off the snapshot (one
+    recorded read in place of one per site) serves ``load()``,
+    ``loads()`` and ``stale_load_reads`` exactly as a service that
+    records every per-site read, across snapshot refreshes (also at the
+    instant of a read), stale marks, refreshes, ageing past the timeout,
+    outages and candidate subsets."""
+    sim = Simulator()
+    sites = {name: _Site() for name in SITES}
+    policy = InfoPolicy(refresh_interval_s=20.0, query_timeout_s=50.0)
+    services = [cls(sim, sites, ReplicaCatalog(), policy=policy)
+                for cls in (InformationService, RecordingInfo)]
+    sim.run(until=0.5)
+    for kind, arg in steps:
+        if kind == "load":
+            name, value = arg
+            sites[name].load = value  # visible only after a refresh
+        elif kind == "wait":
+            sim.run(until=sim.now + arg)
+        answers = []
+        for info in services:
+            if kind == "resnap":
+                # What the refresher does, at the current instant.
+                info._snapshot = info._take_snapshot()
+            elif kind == "mark":
+                info.mark_stale(arg)
+            elif kind == "refresh":
+                info.refresh(arg)
+            elif kind == "down":
+                info.mark_site_down(arg)
+            elif kind == "up":
+                info.mark_site_up(arg)
+            elif kind == "read":
+                answers.append(info.load(arg))
+            elif kind == "loads":
+                answers.append(info.loads())
+            elif kind == "ask":
+                candidates, seed = arg
+                rng = None if seed is None else random.Random(seed)
+                try:
+                    site = info.least_loaded(candidates, rng=rng)
+                except ValueError:
+                    site = None
+                answers.append(
+                    (site, None if rng is None else rng.getstate()))
+            answers.append(info.stale_load_reads)
+        assert answers[:len(answers) // 2] == answers[len(answers) // 2:]
