@@ -1,8 +1,9 @@
 """Micro-benchmarks of the observed failure-detection layer.
 
 The health layer rides along on every simulated run once armed —
-heartbeat processes per site, a detector scan per beat, breaker feedback
-on every transfer, and (with speculation) a straggler scan per tick.
+heartbeats replayed per site, a detector scan per beat interval, breaker
+feedback on every transfer, and (with speculation) a straggler scan per
+tick.
 Its cost is measured four ways: the health-off baseline every default
 run pays (the zero-cost-when-off claim), the same workload with the
 detector armed, the same again with speculation on top, and the

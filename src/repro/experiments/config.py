@@ -133,9 +133,14 @@ class SimulationConfig:
         0.0, "--catalog-delay",
         "replica-catalog propagation delay (0 = live catalog)",
         metavar="SECONDS")
+    #: Only sites marked through ``InformationService.mark_stale`` read
+    #: last-known loads, and no simulated mechanism marks one, so today
+    #: this knob changes no output of any run.
     info_timeout_s: float = knob(
-        0.0, "--info-timeout", "serve last-known loads for stale-marked "
-        "sites up to this long (0 = off)", metavar="SECONDS")
+        0.0, "--info-timeout", "serve last-known loads for sites marked "
+        "stale (InformationService.mark_stale) up to this long (0 = off); "
+        "no simulated mechanism marks a site, so this changes no output "
+        "today", metavar="SECONDS")
     #: The checks are read-only, so enabling the watchdog never changes a
     #: run's results — it only turns silent conservation bugs into
     #: immediate structured failures.
