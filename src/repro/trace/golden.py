@@ -179,6 +179,49 @@ def health_golden_configs() -> Dict[str, Tuple["SimulationConfig", str, str]]:
     }
 
 
+def site_golden_configs() -> Dict[str, Tuple["SimulationConfig", str, str]]:
+    """Canonical-workload configs for the site execution engine, each with
+    its (ES, DS) pair.
+
+    They lock both ways a site hands out processors and every way out of
+    an execution.  The ``dispatch*`` entries run the data-aware local
+    scheduler (pending claims granted by ``ls.pick``): plain, under
+    JobDataPresent, with a queue deadline most jobs miss while pending,
+    and under two site outages with outputs.  ``sjf-aging`` runs the
+    priority queue with aging and a deadline.  ``speculate`` and
+    ``speculate-faults`` preempt backup losers (the latter with outages
+    and queue expiries too), and ``reservations`` degrades a pinned fetch
+    into a too-pinned element to a remote read and drops outputs.
+    """
+    from repro.faults.plan import FaultPlan, SiteOutage
+
+    base = golden_config()
+    dispatch = base.with_(local_scheduler="FIFO-DataAware")
+    outages = FaultPlan(site_outages=(SiteOutage("site01", 100.0, 400.0),
+                                      SiteOutage("site03", 250.0, 900.0)))
+    speculate = base.with_(speculate_quantile=0.5, speculate_multiplier=1.0)
+    return {
+        "dispatch": (dispatch, "JobLeastLoaded", "DataRandom"),
+        "dispatch-present": (dispatch, "JobDataPresent", "DataLeastLoaded"),
+        "dispatch-deadline": (dispatch.with_(job_deadline_s=60.0),
+                              "JobLeastLoaded", "DataRandom"),
+        "dispatch-faults": (dispatch.with_(fault_plan=outages,
+                                           output_fraction=0.2),
+                            "JobRandom", "DataRandom"),
+        "sjf-aging": (base.with_(local_scheduler="SJF", aging_factor=0.5,
+                                 job_deadline_s=120.0),
+                      "JobLocal", "DataRandom"),
+        "speculate": (speculate, "JobLeastLoaded", "DataRandom"),
+        "speculate-faults": (speculate.with_(fault_plan=outages,
+                                             job_deadline_s=300.0),
+                             "JobRandom", "DataRandom"),
+        "reservations": (base.with_(storage_reservations=True,
+                                    storage_capacity_mb=9000.0,
+                                    output_fraction=0.3),
+                         "JobRandom", "DataRandom"),
+    }
+
+
 def run_golden(es_name: str, ds_name: str,
                config: Optional["SimulationConfig"] = None
                ) -> List[TraceRecord]:

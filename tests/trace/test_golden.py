@@ -7,7 +7,10 @@ behavioural drift — different site choice, different transfer order, a
 replication firing at a different count — fails the affected combos with
 a first-divergence report.  A second family (``health/*``) runs six-site
 health configs (``health_golden_configs``) and locks the failure
-detector's event order, ties on the beat lattice included.
+detector's event order, ties on the beat lattice included.  A third
+(``site/*``, ``site_golden_configs``) locks the site execution engine:
+both ways of getting a processor, queue deadlines, speculation losers,
+outages and remote reads.
 
 Regenerate intentionally changed baselines with::
 
@@ -25,11 +28,13 @@ from repro.trace.golden import (
     fingerprint,
     health_golden_configs,
     run_golden,
+    site_golden_configs,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 COMBOS = [(es, ds) for es in ALL_ES for ds in ALL_DS]
 HEALTH_CONFIGS = health_golden_configs()
+SITE_CONFIGS = site_golden_configs()
 
 # Session-local memo of golden runs, so the digest-uniqueness test reuses
 # the streams already produced by the per-combo tests.
@@ -82,6 +87,12 @@ def test_golden_trace(es, ds, request):
 def test_health_golden_trace(name, request):
     config, es, ds = HEALTH_CONFIGS[name]
     _check_golden(f"health/{name}", run_golden(es, ds, config), request)
+
+
+@pytest.mark.parametrize("name", sorted(SITE_CONFIGS))
+def test_site_golden_trace(name, request):
+    config, es, ds = SITE_CONFIGS[name]
+    _check_golden(f"site/{name}", run_golden(es, ds, config), request)
 
 
 def test_all_combo_digests_are_distinct():
