@@ -16,19 +16,18 @@ for one job (paper §3/§5.2):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.grid.compute import ComputeElement
 from repro.grid.datamover import DataMover, DataUnavailableError, RemoteReadMB
 from repro.grid.job import Job
 from repro.grid.lifecycle import TransitionEngine
 from repro.grid.storage import StorageElement
+from repro.scheduling.base import LocalScheduler, QueuedJob
 from repro.sim.core import Simulator
 from repro.sim.errors import Interrupt
+from repro.sim.events import Event
 from repro.sim.process import Process
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.scheduling.base import LocalScheduler
 
 #: Interrupt cause used to cancel the losing attempt of a speculation
 #: race.  :meth:`Site._unwind` routes this cause to the dedicated
@@ -37,13 +36,14 @@ _PREEMPT_CAUSE = "speculation loser"
 
 
 class _Attempt:
-    """Cleanup bookkeeping for one fault-mode execution attempt.
+    """The pin ledger and cleanup bookkeeping of one execution.
 
-    Records exactly which resources the attempt holds at any yield point
-    so an :class:`~repro.sim.errors.Interrupt` (site failure) or a
-    :class:`~repro.grid.datamover.DataUnavailableError` can be unwound
-    without leaking processors, pins, or in-flight fetches.  Null-mode
-    executions pass ``attempt=None`` and skip all of this.
+    Every execution has one.  It records exactly which resources the
+    attempt holds at any yield point: completion unpins ``pinned``, and
+    an :class:`~repro.sim.errors.Interrupt` (site failure, preemption) or
+    a :class:`~repro.grid.datamover.DataUnavailableError` is unwound
+    without leaking pins, in-flight fetches or a compute phase.  The
+    processor claim itself goes back through :meth:`Site._release`.
     """
 
     __slots__ = ("fetch", "fetch_name", "pinned", "computing")
@@ -65,7 +65,7 @@ class Site:
         compute: ComputeElement,
         storage: StorageElement,
         datamover: DataMover,
-        local_scheduler: "LocalScheduler",
+        local_scheduler: LocalScheduler,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -84,7 +84,8 @@ class Site:
         self.outputs_dropped: int = 0
         #: Output datasets written here (name → Dataset).
         self.outputs: Dict[str, "Dataset"] = {}
-        # Dispatcher state (only used when the LS runs in dispatch mode).
+        # Dispatcher state (only used when the LS runs in dispatch mode):
+        # a (QueuedJob, grant) pair per pending claim, and free processors.
         self._pending: List = []
         self._free_processors = compute.n_processors
         #: Fault injector (None = fault-free; every hot path is gated on
@@ -92,8 +93,8 @@ class Site:
         self.faults = None
         #: Domain-event tracer (None = tracing off; one attribute check).
         self.tracer = None
-        #: Alive execution processes, tracked only in fault mode so
-        #: :meth:`fail_site` can kill them.  An insertion-ordered dict, not
+        #: Alive execution processes, tracked only under faults or health
+        #: so :meth:`fail_site` can kill them.  An insertion-ordered dict, not
         #: a set: Process hashes by id, and interrupt order must not depend
         #: on memory layout or a run stops being reproducible.
         self._alive: Dict[Process, None] = {}
@@ -103,7 +104,7 @@ class Site:
         #: Overload policy, installed by the grid when an
         #: :class:`~repro.grid.overload.OverloadPolicy` is active.
         #: ``None`` keeps execution on the exact pre-overload code paths
-        #: (no deadlines, no aging, unpin-by-input-list).
+        #: (no deadlines, no aging).
         self.overload = None
         #: Observed-health monitor (``None`` = off; installed by the
         #: grid when a :class:`~repro.grid.health.HealthPolicy` is
@@ -151,17 +152,38 @@ class Site:
                                         best_effort=True)
             for fname in job.input_files
         ]
-        if self.local_scheduler.dispatches:
-            process = self._enqueue_dispatched(job, prefetches)
-            self._note_queue_depth()
-            return process
-        # Issue the processor request synchronously so the site's load (the
-        # paper's "jobs waiting to run") reflects this job immediately —
-        # schedulers polling the information service in the same instant
-        # must see it.
+        # The job's processor claim, issued synchronously so the site's
+        # load (the paper's "jobs waiting to run") reflects this job
+        # immediately — schedulers polling the information service in the
+        # same instant must see it.
+        dispatches = self.local_scheduler.dispatches
+        if dispatches:
+            # A pending grant the Local Scheduler picks among the others
+            # (:meth:`_try_dispatch`).
+            ready = self.sim.all_of(prefetches)
+            claim = Event(self.sim)
+            self._pending.append((QueuedJob(job, self.sim.now, ready), claim))
+            # A data arrival can unblock a better dispatch choice.
+            ready.callbacks.append(lambda _ev: self._try_dispatch())
+        else:
+            ready = None
+            claim = self._acquire(job)
+        process = self.sim.process(
+            self._execute(job, claim, prefetches, ready),
+            name=f"job{job.job_id}@{self.name}")
+        if self.faults is not None or self.health is not None:
+            self._track(process, job)
+        if dispatches:
+            self._try_dispatch()
+        self._note_queue_depth()
+        return process
+
+    def _acquire(self, job: Job):
+        """Queue mode's claim: a pool request in LS priority order."""
         priority = self.local_scheduler.priority(job)
-        if (priority is not None and self.overload is not None
-                and self.overload.aging_factor > 0):
+        if priority is None:
+            return self.compute.acquire()
+        if self.overload is not None and self.overload.aging_factor > 0:
             # Linear starvation aging, folded into a constant key: credit
             # grows uniformly with wait time for everyone, so the pairwise
             # order of two queued jobs is fixed once both are enqueued —
@@ -169,19 +191,29 @@ class Site:
             # with zero re-sorting.  Later arrivals pay a growing penalty,
             # so an old large job cannot be overtaken forever.
             priority += int(self.overload.aging_factor * self.sim.now * 1000)
-        if priority is None:
-            request = self.compute.acquire()
+        return self.compute.acquire(priority=priority)
+
+    def _release(self, claim) -> None:
+        """Return a granted processor claim, or withdraw a pending one.
+
+        The only place a claim is handed back: every way out of
+        :meth:`_execute` (deadline, kill, preemption, completion) calls it
+        exactly once.
+        """
+        if not self.local_scheduler.dispatches:
+            # Covers both a granted request (returns the slot, grants the
+            # next waiter) and a still-queued one (cancels it).
+            self.compute.release(claim)
+        elif claim.triggered:
+            self._free_processors += 1
+            self._try_dispatch()
         else:
-            request = self.compute.acquire(priority=priority)
-        attempt = (_Attempt() if (self.faults is not None
-                                  or self.health is not None) else None)
-        process = self.sim.process(
-            self._execute(job, request, prefetches, attempt),
-            name=f"job{job.job_id}@{self.name}")
-        if attempt is not None:
-            self._track(process, job)
-        self._note_queue_depth()
-        return process
+            # Withdraw by identity so _try_dispatch never grants the dead
+            # claim (an outage has already cleared the whole list).
+            for index, (_entry, grant) in enumerate(self._pending):
+                if grant is claim:
+                    del self._pending[index]
+                    break
 
     def _note_queue_depth(self) -> None:
         depth = self.load
@@ -239,29 +271,8 @@ class Site:
         for process in [p for p in self._alive if p.is_alive]:
             process.interrupt("site failure")
 
-    # -- dispatch-mode path (data-aware local schedulers) ----------------------
-
-    def _enqueue_dispatched(self, job: Job, prefetches) -> Process:
-        from repro.scheduling.base import QueuedJob
-        from repro.sim.events import Event
-
-        ready = self.sim.all_of(prefetches)
-        grant = Event(self.sim)
-        entry = QueuedJob(job, self.sim.now, ready)
-        self._pending.append((entry, grant))
-        # A data arrival can unblock a better dispatch choice.
-        ready.callbacks.append(lambda _ev: self._try_dispatch())
-        attempt = (_Attempt() if (self.faults is not None
-                                  or self.health is not None) else None)
-        process = self.sim.process(
-            self._execute_dispatched(job, grant, ready, attempt, entry),
-            name=f"job{job.job_id}@{self.name}")
-        if attempt is not None:
-            self._track(process, job)
-        self._try_dispatch()
-        return process
-
     def _try_dispatch(self) -> None:
+        """Dispatch mode: grant free processors to LS-picked claims."""
         while self._free_processors > 0 and self._pending:
             entries = [entry for entry, _ in self._pending]
             index = self.local_scheduler.pick(entries, self.sim.now)
@@ -280,80 +291,14 @@ class Site:
             self._free_processors -= 1
             grant.succeed()
 
-    def _execute_dispatched(self, job: Job, grant, ready, attempt=None,
-                            entry=None):
-        pinned = [] if self.overload is not None else None
-        try:
-            deadline = self._deadline_of(job)
-            if deadline > 0:
-                # Race the grant against the queue deadline.  A tie at the
-                # same instant goes to execution (the grant has already
-                # triggered when we wake).
-                expiry = self.sim.timeout(deadline)
-                yield self.sim.any_of([grant, expiry])
-                if not grant.triggered:
-                    # Withdraw from the pending queue by identity so
-                    # _try_dispatch can never grant the dead entry.
-                    for index, (pending_entry, _g) in enumerate(self._pending):
-                        if pending_entry is entry:
-                            del self._pending[index]
-                            break
-                    self._expire(job, deadline)
-                    return job
-            else:
-                yield grant
-            job.processor_at = self.sim.now
+    def _execute(self, job: Job, claim, prefetches, ready):
+        """One job's execution at this site, over either kind of claim.
 
-            prefetched = yield ready
-            fetched_mb = sum(prefetched.values())
-            fetched_mb += yield from self._fetch_inputs(job, attempt, pinned)
-            self.lifecycle.data_ready(job, self.name, fetched_mb)
-
-            self.lifecycle.start(job, self.name)
-            for fname in job.input_files:
-                # Under overload a remote-read input was never stored,
-                # and under durability a quarantine may have removed an
-                # input between its fetch and here — nothing to touch
-                # or count then.
-                if ((self.overload is None
-                        and self.datamover.durability is None)
-                        or fname in self.storage):
-                    self.storage.record_access(fname, self.sim.now)
-            if attempt is not None:
-                attempt.computing = True
-            self.compute.compute_started()
-            yield self.sim.timeout(job.runtime_s)
-            self.compute.compute_finished()
-            if attempt is not None:
-                attempt.computing = False
-        except (Interrupt, DataUnavailableError) as err:
-            if attempt is None:
-                raise
-            # Return the processor slot iff one was ever granted (the
-            # remaining steps after the compute yield are synchronous, so
-            # a granted slot cannot have been returned twice).
-            if grant.triggered:
-                self._free_processors += 1
-                self._try_dispatch()
-            self._unwind(job, attempt, err)
-            return job
-
-        if job.output_size_mb > 0:
-            self._store_output(job)
-
-        self._free_processors += 1
-        self._try_dispatch()
-        for fname in (job.input_files if pinned is None else pinned):
-            self.storage.unpin(fname)
-        self.lifecycle.finish(job, self.name)
-        self.jobs_in_system -= 1
-        self.jobs_completed += 1
-        for listener in self.completion_listeners:
-            listener(job)
-        return job
-
-    def _execute(self, job: Job, request, prefetches, attempt=None):
-        pinned = [] if self.overload is not None else None
+        ``ready`` is dispatch mode's prefetch condition, built at enqueue
+        for the Local Scheduler to read; queue mode (``None``) joins the
+        prefetches only once the processor is granted.
+        """
+        attempt = _Attempt()
         try:
             # 1. Wait for a processor, in LS-decided order — racing the
             #    queue deadline when one is set.  A tie at the same
@@ -361,23 +306,23 @@ class Site:
             deadline = self._deadline_of(job)
             if deadline > 0:
                 expiry = self.sim.timeout(deadline)
-                yield self.sim.any_of([request, expiry])
-                if not request.triggered:
-                    # Releasing an ungranted request cancels it, so the
-                    # processor can never be granted to the dead job.
-                    self.compute.release(request)
+                yield self.sim.any_of([claim, expiry])
+                if not claim.triggered:
+                    self._release(claim)
                     self._expire(job, deadline)
                     return job
             else:
-                yield request
+                yield claim
             job.processor_at = self.sim.now
 
             # 2. Hold the processor until the input data is local and
             #    pinned.  Usually the prefetch already landed (or is joined
             #    in flight) and this is instantaneous.
-            prefetched = yield self.sim.all_of(prefetches)
+            if ready is None:
+                ready = self.sim.all_of(prefetches)
+            prefetched = yield ready
             fetched_mb = sum(prefetched.values())
-            fetched_mb += yield from self._fetch_inputs(job, attempt, pinned)
+            fetched_mb += yield from self._fetch_inputs(job, attempt)
             self.lifecycle.data_ready(job, self.name, fetched_mb)
 
             # 3. Compute.
@@ -391,19 +336,15 @@ class Site:
                         and self.datamover.durability is None)
                         or fname in self.storage):
                     self.storage.record_access(fname, self.sim.now)
-            if attempt is not None:
-                attempt.computing = True
+            attempt.computing = True
             self.compute.compute_started()
             yield self.sim.timeout(job.runtime_s)
             self.compute.compute_finished()
-            if attempt is not None:
-                attempt.computing = False
+            attempt.computing = False
         except (Interrupt, DataUnavailableError) as err:
-            if attempt is None:
+            if self.faults is None and self.health is None:
                 raise
-            # Release covers every request state: granted (returns the
-            # slot, grants the next waiter) and still-queued (cancels).
-            self.compute.release(request)
+            self._release(claim)
             self._unwind(job, attempt, err)
             return job
 
@@ -414,8 +355,8 @@ class Site:
             self._store_output(job)
 
         # 5. Clean up.
-        self.compute.release(request)
-        for fname in (job.input_files if pinned is None else pinned):
+        self._release(claim)
+        for fname in attempt.pinned:
             self.storage.unpin(fname)
         self.lifecycle.finish(job, self.name)
         self.jobs_in_system -= 1
@@ -424,22 +365,15 @@ class Site:
             listener(job)
         return job
 
-    def _fetch_inputs(self, job: Job, attempt, pinned=None):
-        """Pin every input locally; fault mode tracks the in-flight fetch.
+    def _fetch_inputs(self, job: Job, attempt: _Attempt):
+        """Pin every input locally, recording the in-flight fetch.
 
-        ``pinned`` (overload mode) collects the names actually pinned:
-        a fetch degraded to a remote read (:class:`RemoteReadMB`) stored
-        and pinned nothing, so completion must not unpin it.
+        ``attempt.pinned`` collects the names actually pinned: a fetch
+        degraded to a remote read (:class:`RemoteReadMB`) stored and
+        pinned nothing, so neither completion nor an unwind unpins it.
         """
         fetched_mb = 0.0
         for fname in job.input_files:
-            if attempt is None:
-                moved = yield self.datamover.ensure_local(
-                    self.name, fname, pin=True)
-                fetched_mb += moved
-                if pinned is not None and not isinstance(moved, RemoteReadMB):
-                    pinned.append(fname)
-                continue
             attempt.fetch = self.datamover.ensure_local(
                 self.name, fname, pin=True)
             attempt.fetch_name = fname
@@ -449,8 +383,6 @@ class Site:
             attempt.fetch_name = None
             if not isinstance(moved, RemoteReadMB):
                 attempt.pinned.append(fname)
-                if pinned is not None:
-                    pinned.append(fname)
         return fetched_mb
 
     def _unwind(self, job: Job, attempt, err) -> None:

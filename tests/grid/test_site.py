@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments.runner import build_grid, make_workload
 from repro.grid import Job, JobState
+from repro.trace.golden import golden_config
 
 
 def make_job(job_id=0, origin="site00", inputs=("d0",), runtime=100.0):
@@ -129,3 +131,30 @@ class TestExecution:
         assert ce.busy_processor_seconds() == pytest.approx(100.0)
         # 50 s of the 150 s horizon was data wait on one processor.
         assert ce.idle_fraction() == pytest.approx(1 - 100 / (2 * 150))
+
+
+class TestDispatchModeClaims:
+    """Every way out of a dispatch-mode execution returns or withdraws its
+    processor claim.  Speculation preempts backups that are often still
+    pending; a pending claim left behind is later granted to a process
+    that no longer exists and holds that processor for good."""
+
+    CONFIG = golden_config().with_(
+        local_scheduler="FIFO-DataAware", speculate_quantile=0.5,
+        speculate_multiplier=1.0, watchdog=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_preempted_pending_backups_free_every_processor(self, seed):
+        config = self.CONFIG.with_(seed=seed)
+        sim, grid = build_grid(config, "JobLeastLoaded", "DataRandom",
+                               make_workload(config))
+        users = sim.all_of([user.start() for user in grid.users])
+        # A capped run, not grid.run(): a leaked claim would hang that.
+        sim.run(until=sim.any_of([users, sim.timeout(1e6)]))
+        assert users.triggered, "a user never finished"
+        held = {name: site.compute.n_processors - site._free_processors
+                for name, site in grid.sites.items()}
+        assert {name: n for name, n in held.items() if n} == {}
+        assert {name: len(site._pending) for name, site in grid.sites.items()
+                if site._pending} == {}
+        grid.watchdog.check_now()
