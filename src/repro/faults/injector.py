@@ -82,11 +82,15 @@ class FaultInjector:
         self.dead: Set[str] = set()
         #: Sites currently cut off by a network partition: computing, but
         #: unreachable (no transfers in or out, no heartbeats observed).
-        self.partitioned: Set[str] = set()
+        #: Each maps to the number of partition windows covering it; the
+        #: site heals when the last of them ends.
+        self.partitioned: Dict[str, int] = {}
         self._down_since: Dict[str, float] = {}
         self._partitioned_since: Dict[str, float] = {}
         self._downtime_s: Dict[str, float] = {name: 0.0 for name in grid.sites}
-        self._link_base: Dict[object, float] = {}
+        #: The factors of the windows (degradations, partitions) active on
+        #: each link; the lowest one sets its capacity.
+        self._link_factors: Dict[object, List[float]] = {}
         self._recovery_waiters: List[Event] = []
 
         # ---- recovery metrics ------------------------------------------------
@@ -405,19 +409,32 @@ class FaultInjector:
     #: stall and are recovered by the fetch timeout.
     DEAD_LINK_FACTOR = 1e-6
 
+    def _degrade_link(self, link, factor: float) -> None:
+        """Open a window scaling ``link`` by ``factor``."""
+        factors = self._link_factors.setdefault(link, [])
+        factors.append(factor)
+        link.capacity_mbps = link.base_capacity_mbps * min(factors)
+
+    def _restore_link(self, link, factor: float) -> None:
+        """Close a window opened by :meth:`_degrade_link`: the link returns
+        to base capacity × the lowest factor still active, or to base."""
+        factors = self._link_factors[link]
+        factors.remove(factor)
+        link.capacity_mbps = (link.base_capacity_mbps * min(factors)
+                              if factors else link.base_capacity_mbps)
+
     def _scripted_degradation(self, deg: LinkDegradation, link):
         if deg.start_s > 0:
             yield self.sim.timeout(deg.start_s)
-        self._link_base.setdefault(link, link.capacity_mbps)
         factor = max(deg.factor, self.DEAD_LINK_FACTOR)
-        link.capacity_mbps = self._link_base[link] * factor
+        self._degrade_link(link, factor)
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, "fault.link_degrade",
                              a=deg.a, b=deg.b, factor=deg.factor)
         self.grid.transfers.rebalance()
         if deg.end_s != float("inf"):
             yield self.sim.timeout(deg.end_s - deg.start_s)
-            link.capacity_mbps = self._link_base[link]
+            self._restore_link(link, factor)
             if self.tracer is not None:
                 self.tracer.emit(self.sim.now, "fault.link_restore",
                                  a=deg.a, b=deg.b)
@@ -431,9 +448,10 @@ class FaultInjector:
         if partition.start_s > 0:
             yield self.sim.timeout(partition.start_s)
         cut = set(partition.sites)
+        partitioned = self.partitioned
         for site in partition.sites:
             self._replay_beats(site, scheduled)
-            self.partitioned.add(site)
+            partitioned[site] = partitioned.get(site, 0) + 1
             self._partitioned_since.setdefault(site, self.sim.now)
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, "fault.partition",
@@ -441,9 +459,7 @@ class FaultInjector:
         severed = []
         for link in self.grid.topology.links:
             if link.a in cut or link.b in cut:
-                self._link_base.setdefault(link, link.capacity_mbps)
-                link.capacity_mbps = (
-                    self._link_base[link] * self.DEAD_LINK_FACTOR)
+                self._degrade_link(link, self.DEAD_LINK_FACTOR)
                 severed.append(link)
         transfers = self.grid.transfers
         for transfer in [t for t in list(transfers.active)
@@ -453,11 +469,13 @@ class FaultInjector:
         scheduled = self.sim.now
         yield self.sim.timeout(partition.end_s - partition.start_s)
         for link in severed:
-            link.capacity_mbps = self._link_base[link]
+            self._restore_link(link, self.DEAD_LINK_FACTOR)
         for site in partition.sites:
             self._replay_beats(site, scheduled)
-            self.partitioned.discard(site)
-            self._partitioned_since.pop(site, None)
+            partitioned[site] -= 1
+            if not partitioned[site]:
+                del partitioned[site]
+                self._partitioned_since.pop(site, None)
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, "fault.partition_heal",
                              sites=list(partition.sites))

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, LinkDegradation, SiteOutage
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    LinkDegradation,
+    NetworkPartition,
+    SiteOutage,
+)
 from repro.grid import DataGrid, Dataset, DatasetCollection
 from repro.grid.datamover import DataUnavailableError
 from repro.network import Topology
@@ -221,6 +227,43 @@ class TestLinkDegradation:
             sim.run(until=fetch)
         assert grid.datamover.transfers_failed >= 1
 
+
+
+class TestOverlappingWindows:
+    """A window's end undoes only its own effect: a site or link another
+    window still covers stays cut or degraded until that one ends too."""
+
+    DEAD = 10.0 * FaultInjector.DEAD_LINK_FACTOR
+
+    def test_partitions_heal_with_their_last_window(self):
+        plan = FaultPlan(partitions=[
+            NetworkPartition(("site00",), 100.0, 300.0),
+            NetworkPartition(("site00", "site01"), 200.0, 400.0)])
+        sim, grid = make_grid(plan)
+        link = grid.topology.link_between("site00", "hub")
+        sim.run(until=350.0)
+        assert not grid.faults.is_reachable("site00")
+        assert grid.faults.unobservable_since("site00") == 100.0
+        assert link.capacity_mbps == self.DEAD
+        sim.run(until=450.0)
+        assert grid.faults.is_reachable("site00")
+        assert grid.faults.is_reachable("site01")
+        assert link.capacity_mbps == 10.0
+
+    def test_degradation_outlives_a_partition_on_its_link(self):
+        plan = FaultPlan(
+            link_degradations=[
+                LinkDegradation("site00", "hub", 100.0, 400.0, 0.25)],
+            partitions=[NetworkPartition(("site00",), 200.0, 300.0)])
+        sim, grid = make_grid(plan)
+        link = grid.topology.link_between("site00", "hub")
+        sim.run(until=250.0)
+        assert link.capacity_mbps == self.DEAD
+        sim.run(until=350.0)
+        assert grid.faults.is_reachable("site00")
+        assert link.capacity_mbps == pytest.approx(2.5)
+        sim.run(until=450.0)
+        assert link.capacity_mbps == 10.0
 
 class TestTransferSabotage:
     def test_certain_drop_aborts_every_attempt(self):
