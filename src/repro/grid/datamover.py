@@ -171,7 +171,7 @@ class DataMover:
                                        "already-present-or-inflight")
             return 0.0
         if (self.health is not None
-                and not self.health.allow_replication(to_site)):
+                and not self.health.allows(to_site)):
             # The Dataset Scheduler must not push replicas at a site the
             # breaker currently quarantines.
             self.replications_skipped += 1
@@ -298,21 +298,11 @@ class DataMover:
             arrival = Event(self.sim)
             self._inflight[key] = arrival
             try:
-                if self.faults is None:
-                    source = self._pick_source(site, dataset_name,
-                                               preferred_source)
-                    transfer = self.transfers.start(
-                        source, site, dataset.size_mb, purpose=purpose,
-                        metadata={"dataset": dataset_name})
-                    yield transfer.done
-                    if self.health is not None:
-                        self.health.record_transfer_success(source, site)
-                else:
-                    delivered = yield from self._fetch_with_faults(
-                        site, dataset, dataset_name, purpose,
-                        preferred_source, best_effort)
-                    if not delivered:
-                        return 0.0
+                delivered = yield from self._wire(
+                    site, dataset, dataset_name, purpose, preferred_source,
+                    best_effort)
+                if not delivered:
+                    return 0.0
                 if reservations:
                     # The reservation guarantees the landing fits — no
                     # retry loop, no eviction, no StorageFullError.
@@ -358,20 +348,8 @@ class DataMover:
         the traffic is paid, nothing lands, nothing is pinned, and the
         catalog is untouched.  Returns :class:`RemoteReadMB`.
         """
-        if self.faults is None:
-            source = self._pick_source(site, dataset_name, preferred_source)
-            transfer = self.transfers.start(
-                source, site, dataset.size_mb, purpose=purpose,
-                metadata={"dataset": dataset_name, "remote_read": True})
-            yield transfer.done
-            if self.health is not None:
-                self.health.record_transfer_success(source, site)
-        else:
-            delivered = yield from self._fetch_with_faults(
-                site, dataset, dataset_name, purpose, preferred_source,
-                best_effort=False)
-            if not delivered:  # pragma: no cover - defensive
-                return 0.0
+        yield from self._wire(site, dataset, dataset_name, purpose,
+                              preferred_source, best_effort=False)
         if self.overload_stats is not None:
             self.overload_stats.remote_reads += 1
         if self.tracer is not None:
@@ -379,6 +357,28 @@ class DataMover:
                              dataset=dataset_name, purpose=purpose,
                              size_mb=dataset.size_mb)
         return RemoteReadMB(dataset.size_mb)
+
+    def _wire(self, site: str, dataset, dataset_name: str, purpose: str,
+              preferred_source: Optional[str], best_effort: bool):
+        """Move one dataset's bytes to ``site`` over the network.
+
+        Fault-free, one transfer from the picked source, fed to the health
+        layer on success; under faults, :meth:`_fetch_with_faults`.
+        Returns whether the bytes arrived (only a best-effort fetch under
+        faults can give up).
+        """
+        if self.faults is not None:
+            return (yield from self._fetch_with_faults(
+                site, dataset, dataset_name, purpose, preferred_source,
+                best_effort))
+        source = self._pick_source(site, dataset_name, preferred_source)
+        transfer = self.transfers.start(
+            source, site, dataset.size_mb, purpose=purpose,
+            metadata={"dataset": dataset_name})
+        yield transfer.done
+        if self.health is not None:
+            self.health.record_transfer_success(source, site)
+        return True
 
     def _fetch_with_faults(self, site: str, dataset, dataset_name: str,
                            purpose: str, preferred_source: Optional[str],

@@ -500,7 +500,7 @@ class DurabilityManager:
             d for d in sorted(grid.sites)
             if d not in holders
             and (faults is None or faults.is_up(d))
-            and (health is None or health.allow_replication(d))
+            and (health is None or health.allows(d))
             and grid.storages[d].can_fit(size)]
         return [(s, d) for s in sources for d in dests]
 

@@ -363,8 +363,12 @@ class HealthMonitor:
         #: primary id -> the race of its live backup (see :meth:`race`).
         #: A primary with a live backup gets no second one.
         self._races: Dict[int, "Process"] = {}
-        #: Completed attempt durations (dispatch -> done), the straggler
-        #: threshold's sample population.
+        #: Completed attempt durations, the straggler threshold's sample
+        #: population.  Both they and an attempt's age run from when it
+        #: got its processor (``job.processor_at``, None while queued), so
+        #: queue wait is excluded on both sides of the comparison and a
+        #: backlog of healthy queued jobs never looks like stragglers
+        #: (queue pressure is the overload layer's domain, not this one's).
         self._durations: List[float] = []
 
     # -- installation -------------------------------------------------------
@@ -397,9 +401,9 @@ class HealthMonitor:
         closed).  Half-open admits only the prober, not real work."""
         return self.site_breakers[site].state is CLOSED
 
-    def allow_replication(self, site: str) -> bool:
-        """Whether the Dataset Scheduler may push a replica to the site."""
-        return self.site_breakers[site].state is CLOSED
+    #: The same gate under its old name, which perfbench's span table
+    #: still wraps; callers in the simulator use :meth:`allows`.
+    allow_replication = allows
 
     def link_open(self, a: str, b: str) -> bool:
         """Whether the a--b link breaker is currently open."""
@@ -627,18 +631,6 @@ class HealthMonitor:
 
     # -- speculative backup execution ---------------------------------------
 
-    @staticmethod
-    def _attempt_started(job: Job) -> Optional[float]:
-        """When the attempt started *working* (processor acquired).
-
-        ``None`` while the job is still waiting for a slot.  Queue wait
-        is excluded on both sides of the comparison — from the completed-
-        duration sample and from the attempt age — so a backlog of
-        perfectly healthy queued jobs can never look like stragglers
-        (queue pressure is the overload layer's domain, not this one's).
-        """
-        return job.processor_at
-
     def _straggler_threshold(self) -> Optional[float]:
         """Attempt-age threshold, or None while the sample is too thin."""
         durations = self._durations
@@ -662,7 +654,7 @@ class HealthMonitor:
                         continue  # backups never speculate
                     if job.job_id in self._races:
                         continue
-                    started = self._attempt_started(job)
+                    started = job.processor_at
                     if started is None or now - started < threshold:
                         continue
                     self._launch_backup(job)
@@ -753,11 +745,11 @@ class HealthMonitor:
         """
         if dst is JobState.SPECULATED:
             self.stats.speculative_losers += 1
-            started = self._attempt_started(job)
+            started = job.processor_at
             if started is not None:
                 self.stats.speculative_wasted_s += now - started
         elif dst is JobState.DONE:
-            started = self._attempt_started(job)
+            started = job.processor_at
             if started is not None:
                 self._durations.append(now - started)
         primary_id = job.speculative_of
