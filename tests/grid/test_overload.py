@@ -357,6 +357,21 @@ class TestRemoteRead:
         assert record.detail["size_mb"] == 550.0
         assert grid.storages["site00"].reserved_mb == 0
 
+    def test_completion_unpins_only_what_was_pinned(self):
+        # A copy of the streamed input that lands while the job computes
+        # belongs to no job: completion must leave it unpinned.
+        sim, grid = self.make_tight_grid()
+        j = Job(0, "user0", "site00", ["remote"], 100.0)
+        process = grid.submit(j)
+        while j.state is not JobState.RUNNING:
+            sim.step()
+        storage = grid.storages["site00"]
+        storage.remove("local")
+        storage.add(grid.datasets.get("remote"), sim.now, pin=False)
+        sim.run(until=process)
+        assert j.state is JobState.DONE
+        assert not storage.is_pinned("remote")
+
     def test_remote_read_marker_is_accounting_compatible(self):
         moved = RemoteReadMB(550.0)
         assert isinstance(moved, float)
