@@ -420,8 +420,8 @@ class FaultInjector:
         to base capacity × the lowest factor still active, or to base."""
         factors = self._link_factors[link]
         factors.remove(factor)
-        link.capacity_mbps = (link.base_capacity_mbps * min(factors)
-                              if factors else link.base_capacity_mbps)
+        link.capacity_mbps = (link.base_capacity_mbps
+                              * min(factors, default=1.0))
 
     def _scripted_degradation(self, deg: LinkDegradation, link):
         if deg.start_s > 0:

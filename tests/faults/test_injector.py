@@ -228,7 +228,6 @@ class TestLinkDegradation:
         assert grid.datamover.transfers_failed >= 1
 
 
-
 class TestOverlappingWindows:
     """A window's end undoes only its own effect: a site or link another
     window still covers stays cut or degraded until that one ends too."""
@@ -264,6 +263,7 @@ class TestOverlappingWindows:
         assert link.capacity_mbps == pytest.approx(2.5)
         sim.run(until=450.0)
         assert link.capacity_mbps == 10.0
+
 
 class TestTransferSabotage:
     def test_certain_drop_aborts_every_attempt(self):
